@@ -12,11 +12,13 @@ namespace ode {
 
 namespace {
 
-/// Lock-free snapshot walks can race a concurrently publishing version-GC
-/// commit (the walk spans pages; installs are per-page atomic). Freed
-/// entries are detected by flag validation and the walk retried from the
-/// head; the bound converts a genuinely corrupt chain into an error instead
-/// of a livelock.
+/// Lock-free snapshot walks can race a publishing commit (the walk spans
+/// pages; installs are per-page atomic): a version-GC pass, or an update
+/// whose head entry is installed before the retained image it links to.
+/// Freed or not-yet-installed entries are detected by flag validation; the
+/// walk waits out the install (StorageEngine::AwaitPublish) and retries from
+/// the head. The bound converts a genuinely corrupt chain into an error
+/// instead of a livelock.
 constexpr int kSnapshotRetryLimit = 8;
 
 /// Defensive ceiling on chain hops (a cycle would otherwise spin forever).
@@ -488,8 +490,8 @@ namespace {
 /// specific version — down to the first entry carrying that vnum (entries
 /// below the visibility point all committed at or before the snapshot;
 /// stamps are non-increasing down the chain). Returns Busy when the walk
-/// steps onto a freed entry (concurrent version-GC publish); the caller
-/// retries from the head.
+/// steps onto a freed or not-yet-installed entry (a commit mid-publish); the
+/// caller retries from the head.
 Status ResolveSnapshotOnce(const ObjectTable& table, LocalOid local,
                            uint32_t vnum, uint64_t snapshot_seq,
                            ObjectTable::Entry* out) {
@@ -551,6 +553,7 @@ Status ObjectStore::ResolveSnapshot(PageId table_root, LocalOid local,
   ObjectTable table(engine_, table_root);
   Status s;
   for (int attempt = 0; attempt < kSnapshotRetryLimit; ++attempt) {
+    if (attempt > 0) engine_->AwaitPublish();
     s = ResolveSnapshotOnce(table, local, vnum, snapshot_seq, entry);
     if (!s.IsBusy()) return s;
   }
@@ -564,6 +567,7 @@ Status ObjectStore::ReadSnapshot(PageId table_root, LocalOid local,
   ObjectTable table(engine_, table_root);
   Status s;
   for (int attempt = 0; attempt < kSnapshotRetryLimit; ++attempt) {
+    if (attempt > 0) engine_->AwaitPublish();
     ObjectTable::Entry entry;
     s = ResolveSnapshotOnce(table, local, vnum, snapshot_seq, &entry);
     if (s.IsBusy()) continue;

@@ -105,15 +105,25 @@ Status ObjectTable::LocateEntryPage(LocalOid local, bool create,
   uint32_t roots_to_skip = page_index / kDirCap;
   const uint32_t dir_slot = page_index % kDirCap;
 
+  // `root` ends as the directory page that owns dir_slot; the fetch that
+  // reaches it also reads its dir_count and slot.
   PageId root = root_;
+  uint32_t dir_count = 0;
   while (true) {
     PageId next;
     {
       PageHandle handle;
       ODE_RETURN_IF_ERROR(engine_->GetPageRead(root, &handle));
+      if (roots_to_skip == 0) {
+        dir_count = DecodeFixed32(handle.data() + kDirCountOff);
+        if (dir_slot < dir_count) {
+          *page = DecodeFixed32(handle.data() + kDirStartOff + 4 * dir_slot);
+          return Status::OK();
+        }
+        break;
+      }
       next = DecodeFixed32(handle.data() + kNextRootOff);
     }
-    if (roots_to_skip == 0) break;
     if (next == kInvalidPageId) {
       if (!create) return Status::NotFound("object-table page out of range");
       PageId new_root;
@@ -130,17 +140,6 @@ Status ObjectTable::LocateEntryPage(LocalOid local, bool create,
     roots_to_skip--;
   }
 
-  // `root` is the directory page that owns dir_slot.
-  uint32_t dir_count;
-  {
-    PageHandle handle;
-    ODE_RETURN_IF_ERROR(engine_->GetPageRead(root, &handle));
-    dir_count = DecodeFixed32(handle.data() + kDirCountOff);
-    if (dir_slot < dir_count) {
-      *page = DecodeFixed32(handle.data() + kDirStartOff + 4 * dir_slot);
-      return Status::OK();
-    }
-  }
   if (!create) return Status::NotFound("object-table entry out of range");
   if (dir_slot != dir_count) {
     return Status::Corruption("non-contiguous object-table directory");

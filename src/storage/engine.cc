@@ -821,6 +821,8 @@ uint64_t StorageEngine::SyncedSeq() const {
   return synced_seq_;
 }
 
+void StorageEngine::AwaitPublish() const { MutexLock lock(commit_mu_); }
+
 Status StorageEngine::GetPageRead(PageId id, PageHandle* handle) {
   TxnState* state = CurrentTxn();
   if (state != nullptr) {

@@ -237,6 +237,12 @@ class StorageEngine {
   /// (the durable horizon snapshot sequences are minted from).
   uint64_t SyncedSeq() const;
 
+  /// Returns once no commit is part-way through installing its page images
+  /// in the pool (installs run under the log latch, one page at a time). A
+  /// lock-free snapshot walk that met a half-installed commit calls this
+  /// before walking again.
+  void AwaitPublish() const;
+
   // --- Page access ---------------------------------------------------------
 
   /// A readable view of `id`: the calling transaction's shadow copy if it

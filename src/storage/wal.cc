@@ -8,7 +8,8 @@
 namespace ode {
 
 namespace {
-constexpr size_t kHeaderSize = 8;  // len u32 + crc u32
+constexpr size_t kHeaderSize = 8;      // len u32 + crc u32
+constexpr size_t kBodyPrefixSize = 9;  // type u8 + txn_id u64
 }  // namespace
 
 Wal::Wal(std::unique_ptr<File> file, SyncMode mode, uint64_t write_offset,
@@ -20,7 +21,7 @@ Wal::Wal(std::unique_ptr<File> file, SyncMode mode, uint64_t write_offset,
   fsyncs_ = m.GetCounter("storage.wal.fsyncs");
   fsync_errors_ = m.GetCounter("storage.wal.fsync_errors");
   size_gauge_ = m.GetGauge("storage.wal.bytes");
-  size_gauge_->Set(static_cast<int64_t>(write_offset_));
+  size_gauge_->Set(static_cast<int64_t>(write_offset));
 }
 
 Status Wal::Open(Env* env, const std::string& path, SyncMode mode,
@@ -32,38 +33,40 @@ Status Wal::Open(Env* env, const std::string& path, SyncMode mode,
   return Status::OK();
 }
 
-Status Wal::AppendRecord(RecordType type, TxnId txn, const Slice& payload) {
-  buffer_.clear();
-  buffer_.reserve(kHeaderSize + 9 + payload.size());
-  // Body: type + txn_id + payload.
-  std::string body;
-  body.reserve(9 + payload.size());
-  body.push_back(static_cast<char>(type));
-  PutFixed64(&body, txn);
-  body.append(payload.data(), payload.size());
+char* Wal::StartRecord(RecordType type, TxnId txn, size_t payload_size) {
+  const size_t body_size = kBodyPrefixSize + payload_size;
+  buffer_.resize(kHeaderSize + body_size);
+  char* record = buffer_.data();
+  EncodeFixed32(record, static_cast<uint32_t>(body_size));
+  record[kHeaderSize] = static_cast<char>(type);
+  EncodeFixed64(record + kHeaderSize + 1, txn);
+  return record + kHeaderSize + kBodyPrefixSize;
+}
 
-  PutFixed32(&buffer_, static_cast<uint32_t>(body.size()));
-  PutFixed32(&buffer_, crc32c::Mask(crc32c::Value(body.data(), body.size())));
-  buffer_.append(body);
-
-  ODE_RETURN_IF_ERROR(file_->Write(write_offset_, buffer_));
-  write_offset_ += buffer_.size();
+Status Wal::WriteRecord() {
+  char* record = buffer_.data();
+  EncodeFixed32(record + 4,
+                crc32c::Mask(crc32c::Value(record + kHeaderSize,
+                                           buffer_.size() - kHeaderSize)));
+  const uint64_t offset = write_offset_.load(std::memory_order_relaxed);
+  ODE_RETURN_IF_ERROR(file_->Write(offset, buffer_));
+  const uint64_t end = offset + buffer_.size();
+  write_offset_.store(end, std::memory_order_relaxed);
   appends_->Add();
   appended_bytes_->Add(buffer_.size());
-  size_gauge_->Set(static_cast<int64_t>(write_offset_));
+  size_gauge_->Set(static_cast<int64_t>(end));
   return Status::OK();
 }
 
 Status Wal::AppendPageImage(TxnId txn, PageId page, const char* image) {
-  std::string payload;
-  payload.reserve(4 + kPageSize);
-  PutFixed32(&payload, page);
-  payload.append(image, kPageSize);
-  return AppendRecord(RecordType::kPageImage, txn, payload);
+  char* payload = StartRecord(RecordType::kPageImage, txn, 4 + kPageSize);
+  EncodeFixed32(payload, page);
+  memcpy(payload + 4, image, kPageSize);
+  return WriteRecord();
 }
 
 Status Wal::AppendCommit(TxnId txn) {
-  ODE_RETURN_IF_ERROR(AppendRecord(RecordType::kCommit, txn, Slice()));
+  ODE_RETURN_IF_ERROR(AppendCommitRecord(txn));
   if (sync_mode_ == SyncMode::kSyncEveryCommit) {
     return Sync();
   }
@@ -71,7 +74,8 @@ Status Wal::AppendCommit(TxnId txn) {
 }
 
 Status Wal::AppendCommitRecord(TxnId txn) {
-  return AppendRecord(RecordType::kCommit, txn, Slice());
+  StartRecord(RecordType::kCommit, txn, 0);
+  return WriteRecord();
 }
 
 Status Wal::Sync() {
@@ -94,14 +98,14 @@ Status Wal::Reset() {
     return synced;
   }
   fsyncs_->Add();
-  write_offset_ = 0;
+  write_offset_.store(0, std::memory_order_relaxed);
   size_gauge_->Set(0);
   return Status::OK();
 }
 
 Status Wal::TruncateTo(uint64_t offset) {
   ODE_RETURN_IF_ERROR(file_->Truncate(offset));
-  write_offset_ = offset;
+  write_offset_.store(offset, std::memory_order_relaxed);
   size_gauge_->Set(static_cast<int64_t>(offset));
   return Status::OK();
 }
@@ -120,7 +124,7 @@ Status Wal::Reader::Next(Record* record, std::string* scratch, bool* eof) {
   }
   const uint32_t len = DecodeFixed32(header);
   const uint32_t expected_crc = crc32c::Unmask(DecodeFixed32(header + 4));
-  if (len < 9 || len > 16u * 1024 * 1024) {
+  if (len < kBodyPrefixSize || len > 16u * 1024 * 1024) {
     *eof = true;  // Corrupt length: cannot even locate the next record.
     tail_ = TailState::kTorn;
     return Status::OK();

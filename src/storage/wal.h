@@ -1,6 +1,7 @@
 #ifndef ODE_STORAGE_WAL_H_
 #define ODE_STORAGE_WAL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -85,8 +86,12 @@ class Wal {
   /// can never expose that transaction's records to a later recovery.
   Status TruncateTo(uint64_t offset);
 
-  /// Current log size in bytes.
-  uint64_t size_bytes() const { return write_offset_; }
+  /// Current log size in bytes. Appends happen under the engine's log
+  /// latch, but this may be read without it (the commit path's checkpoint
+  /// threshold check runs after releasing the latch).
+  uint64_t size_bytes() const {
+    return write_offset_.load(std::memory_order_relaxed);
+  }
 
   void set_sync_mode(SyncMode mode) { sync_mode_ = mode; }
   SyncMode sync_mode() const { return sync_mode_; }
@@ -134,12 +139,18 @@ class Wal {
   Wal(std::unique_ptr<File> file, SyncMode mode, uint64_t write_offset,
       MetricsRegistry* metrics);
 
-  Status AppendRecord(RecordType type, TxnId txn, const Slice& payload);
+  /// Frames a record of `payload_size` payload bytes into buffer_: writes
+  /// its length, type and txn id, and returns where the payload goes. The
+  /// caller fills the payload, then calls WriteRecord().
+  char* StartRecord(RecordType type, TxnId txn, size_t payload_size);
+
+  /// Checksums the record framed in buffer_ in place and appends it.
+  Status WriteRecord();
 
   std::unique_ptr<File> file_;
   SyncMode sync_mode_;
-  uint64_t write_offset_;
-  std::string buffer_;  // reused encode buffer
+  std::atomic<uint64_t> write_offset_;
+  std::string buffer_;  // reused encode buffer: one whole framed record
   Counter* appends_;        ///< storage.wal.appends (records written)
   Counter* appended_bytes_; ///< storage.wal.appended_bytes
   Counter* fsyncs_;         ///< storage.wal.fsyncs (successful only)

@@ -269,20 +269,74 @@ TEST(CodingTest, ZigZag) {
 
 // --- CRC32C ------------------------------------------------------------------
 
+std::string RandomBytes(uint64_t seed, size_t n) {
+  Random rng(seed);
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rng.Next());
+  return out;
+}
+
 TEST(Crc32cTest, KnownVectors) {
+  // Each vector is checked on the dispatched path and on the table
+  // reference, so both stay covered whichever one Extend() runs here.
+  const auto check = [](const std::string& data, uint32_t expected) {
+    EXPECT_EQ(crc32c::Value(data.data(), data.size()), expected);
+    EXPECT_EQ(crc32c::ExtendPortable(0, data.data(), data.size()), expected);
+  };
   // Standard CRC32C test vector: "123456789" -> 0xE3069283.
-  EXPECT_EQ(crc32c::Value("123456789", 9), 0xE3069283u);
-  // All-zeros 32 bytes -> 0x8A9136AA (iSCSI spec vector).
-  char zeros[32] = {0};
-  EXPECT_EQ(crc32c::Value(zeros, sizeof(zeros)), 0x8A9136AAu);
+  check("123456789", 0xE3069283u);
+  // RFC 3720 section B.4 vectors.
+  check(std::string(32, '\0'), 0x8A9136AAu);
+  check(std::string(32, '\xFF'), 0x62A8AB43u);
+  std::string ascending(32, '\0');
+  std::string descending(32, '\0');
+  for (int i = 0; i < 32; i++) {
+    ascending[i] = static_cast<char>(i);
+    descending[i] = static_cast<char>(31 - i);
+  }
+  check(ascending, 0x46DD794Eu);
+  check(descending, 0x113FDB5Cu);
+}
+
+TEST(Crc32cTest, DispatchedMatchesPortableAtEveryAlignment) {
+  // Every length up to 256 from every start offset 0..15: exercises the
+  // word loop at each misalignment and each length of the byte tail.
+  const std::string buf = RandomBytes(11, 256 + 16);
+  for (size_t offset = 0; offset < 16; offset++) {
+    for (size_t len = 0; len <= 256; len++) {
+      const char* p = buf.data() + offset;
+      ASSERT_EQ(crc32c::Extend(0, p, len), crc32c::ExtendPortable(0, p, len))
+          << "offset " << offset << " len " << len;
+      ASSERT_EQ(crc32c::Extend(0xDEADBEEFu, p, len),
+                crc32c::ExtendPortable(0xDEADBEEFu, p, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32cTest, DispatchedMatchesPortableOnLargeBuffers) {
+  for (uint64_t seed = 1; seed <= 4; seed++) {
+    const std::string buf = RandomBytes(seed, 64 * 1024);
+    EXPECT_EQ(crc32c::Value(buf.data(), buf.size()),
+              crc32c::ExtendPortable(0, buf.data(), buf.size()))
+        << "seed " << seed;
+  }
 }
 
 TEST(Crc32cTest, ExtendMatchesWhole) {
-  const std::string data = "hello world, this is ode";
+  const std::string data = RandomBytes(5, 100);
   const uint32_t whole = crc32c::Value(data.data(), data.size());
-  uint32_t partial = crc32c::Value(data.data(), 5);
-  partial = crc32c::Extend(partial, data.data() + 5, data.size() - 5);
-  EXPECT_EQ(whole, partial);
+  for (size_t split = 0; split <= data.size(); split++) {
+    const uint32_t head = crc32c::Value(data.data(), split);
+    EXPECT_EQ(crc32c::Extend(head, data.data() + split, data.size() - split),
+              whole)
+        << "split " << split;
+    const uint32_t table_head = crc32c::ExtendPortable(0, data.data(), split);
+    EXPECT_EQ(crc32c::ExtendPortable(table_head, data.data() + split,
+                                     data.size() - split),
+              whole)
+        << "split " << split;
+  }
 }
 
 TEST(Crc32cTest, MaskRoundTrip) {

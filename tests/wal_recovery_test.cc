@@ -101,6 +101,47 @@ TEST(WalTest, CorruptCrcStopsScan) {
   EXPECT_EQ(reader.torn_resync_offset(), 8u + 1u + 8u + 4u + kPageSize);
 }
 
+// Pins the on-disk record format: the expected bytes were produced by the
+// byte-at-a-time table CRC32C, so a log written by either CRC implementation
+// replays on the other. Any change here is a log-format change.
+TEST(WalTest, RecordBytesArePinned) {
+  TempDir dir;
+  std::unique_ptr<Wal> wal;
+  ASSERT_OK(Wal::Open(dir.file("wal"), Wal::SyncMode::kNoSync, &wal));
+  std::string image(kPageSize, '\0');
+  for (size_t i = 0; i < kPageSize; i++) {
+    image[i] = static_cast<char>(i * 7 + 3);
+  }
+  const TxnId txn = 0x0102030405060708ull;
+  ASSERT_OK(wal->AppendPageImage(txn, 0x0A0B0C0Du, image.data()));
+  ASSERT_OK(wal->AppendCommit(txn));
+
+  const size_t image_record = 8 + 1 + 8 + 4 + kPageSize;
+  const size_t commit_record = 8 + 1 + 8;
+  ASSERT_EQ(wal->size_bytes(), image_record + commit_record);
+  std::string log(image_record + commit_record, '\0');
+  size_t n = 0;
+  ASSERT_OK(wal->file()->ReadAtMost(0, log.size(), log.data(), &n));
+  ASSERT_EQ(n, log.size());
+
+  // Page image: len 4109, masked crc, type 1, txn id, page id, then the image.
+  const std::string image_header(
+      "\x0d\x10\x00\x00\x7d\x0c\x49\xfd\x01\x08\x07\x06\x05\x04\x03\x02\x01"
+      "\x0d\x0c\x0b\x0a",
+      21);
+  EXPECT_EQ(log.substr(0, 21), image_header);
+  EXPECT_EQ(log.substr(21, kPageSize), image);
+  EXPECT_EQ(DecodeFixed32(log.data()), 4109u);
+  EXPECT_EQ(DecodeFixed32(log.data() + 4), 0xFD490C7Du);
+
+  // Commit: len 9, masked crc, type 2, txn id.
+  const std::string commit(
+      "\x09\x00\x00\x00\x22\xe4\x2c\xa7\x02\x08\x07\x06\x05\x04\x03\x02\x01",
+      17);
+  EXPECT_EQ(log.substr(image_record), commit);
+  EXPECT_EQ(DecodeFixed32(log.data() + image_record + 4), 0xA72CE422u);
+}
+
 TEST(WalTest, ResetEmptiesLog) {
   TempDir dir;
   std::unique_ptr<Wal> wal;
