@@ -43,17 +43,24 @@ void RunForPool(size_t pool_pages) {
     }));
   };
   scan();
-  db->engine().buffer_pool().ResetStats();
+  // The registry outlives this database, so measure deltas over the scans.
+  const auto before = db->engine().metrics().TakeSnapshot();
   const double warm_ms = TimeMs([&] {
     for (int round = 0; round < 3; round++) scan();
   });
-  const auto& stats = db->engine().buffer_pool().stats();
+  const auto after = db->engine().metrics().TakeSnapshot();
+  auto delta = [&](const char* name) {
+    return after.counter(name) - before.counter(name);
+  };
+  const uint64_t hits = delta("storage.pool.hits");
+  const uint64_t misses = delta("storage.pool.misses");
+  const uint64_t evictions = delta("storage.pool.evictions");
   const double hit_rate =
-      100.0 * stats.hits / static_cast<double>(stats.hits + stats.misses);
+      100.0 * hits / static_cast<double>(hits + misses);
   const size_t data_pages = kObjects * kPayload / kPageSize;
   Row("%6zu (%3zu%%) | %9.1f | %6.1f%% | %9llu", pool_pages,
       100 * pool_pages / data_pages, warm_ms / 3, hit_rate,
-      static_cast<unsigned long long>(stats.evictions));
+      static_cast<unsigned long long>(evictions));
   (void)checksum;
 }
 

@@ -68,20 +68,17 @@ BufferPool::~BufferPool() {
 Status BufferPool::FetchLocked(Shard& shard, PageId id, Frame** frame) {
   auto it = shard.frames.find(id);
   if (it != shard.frames.end()) {
-    stats_.hits.fetch_add(1, std::memory_order_relaxed);
     m_hits_->Add();
     Frame* f = it->second.get();
     if (f->prefetched) {
       // First demand touch of a read-ahead frame: the prefetch paid off.
       f->prefetched = false;
-      stats_.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
       m_prefetch_hits_->Add();
     }
     shard.lru.splice(shard.lru.begin(), shard.lru, f->lru_pos);  // to MRU
     *frame = f;
     return Status::OK();
   }
-  stats_.misses.fetch_add(1, std::memory_order_relaxed);
   m_misses_->Add();
   ODE_RETURN_IF_ERROR(EnsureRoom(shard));
   auto f = std::make_unique<Frame>();
@@ -91,7 +88,6 @@ Status BufferPool::FetchLocked(Shard& shard, PageId id, Frame** frame) {
   // not leave a half-initialized frame behind.
   Status read = pager_->ReadPage(id, f->data.get());
   if (!read.ok()) {
-    stats_.read_errors.fetch_add(1, std::memory_order_relaxed);
     m_read_errors_->Add();
     return read;
   }
@@ -126,19 +122,14 @@ void BufferPool::Install(PageId id, const char* data) {
     f = it->second.get();
     shard.lru.splice(shard.lru.begin(), shard.lru, f->lru_pos);
   } else {
-    // The commit behind this Install is already durable in the WAL; a full
-    // shard grows (EnsureRoom never errors hard for an unpinnable shard,
-    // and a flush error during eviction merely grows too — the WAL protects
-    // us).
-    bool evicted = false;
+    // The commit behind this Install is already durable in the WAL; if
+    // evicting to make room fails to flush, the shard grows instead — the
+    // WAL protects us.
     if (shard.frames.size() >= shard.capacity) {
-      Status s = EvictOne(shard, &evicted);
+      Status s = EvictOne(shard);
       if (!s.ok()) {
         ODE_LOG(kWarn) << "pool: eviction flush failed during Install ("
                        << s.ToString() << "); growing instead";
-      }
-      if (!evicted) {
-        stats_.grows.fetch_add(1, std::memory_order_relaxed);
         m_grows_->Add();
       }
     }
@@ -187,7 +178,6 @@ Status BufferPool::Prefetch(const PageId* ids, size_t count) {
     }
     Status read = pager_->ReadPages(missing[i], run, raw.data());
     if (!read.ok()) {
-      stats_.read_errors.fetch_add(1, std::memory_order_relaxed);
       m_read_errors_->Add();
       return read;
     }
@@ -206,7 +196,6 @@ Status BufferPool::Prefetch(const PageId* ids, size_t count) {
       f->lru_pos = shard.lru.begin();
       shard.frames.emplace(id, std::move(f));
       m_frames_->Add();
-      stats_.prefetch_loads.fetch_add(1, std::memory_order_relaxed);
       m_prefetch_loads_->Add();
     }
     i = j;
@@ -214,40 +203,15 @@ Status BufferPool::Prefetch(const PageId* ids, size_t count) {
   return Status::OK();
 }
 
-Status BufferPool::Fetch(PageId id, Frame** frame) {
-  Shard& shard = ShardOf(id);
-  MutexLock lock(shard.mu);
-  Frame* f = nullptr;
-  ODE_RETURN_IF_ERROR(FetchLocked(shard, id, &f));
-  f->pins++;
-  *frame = f;
-  return Status::OK();
-}
-
-void BufferPool::Unpin(Frame* frame) {
-  Shard& shard = ShardOf(frame->id);
-  MutexLock lock(shard.mu);
-  assert(frame->pins > 0);
-  frame->pins--;
-}
-
-Status BufferPool::EvictOne(Shard& shard, bool* evicted) {
-  *evicted = false;
-  // Walk from the cold end; the first evictable frame is the victim.
-  for (auto it = shard.lru.rbegin(); it != shard.lru.rend(); ++it) {
-    auto found = shard.frames.find(*it);
-    assert(found != shard.frames.end());
-    Frame* f = found->second.get();
-    if (f->pins > 0) continue;
-    if (f->dirty) {
-      ODE_RETURN_IF_ERROR(FlushFrameLocked(shard, f));
-    }
-    stats_.evictions.fetch_add(1, std::memory_order_relaxed);
-    m_evictions_->Add();
-    RemoveFrame(shard, f);
-    *evicted = true;
-    return Status::OK();
-  }
+Status BufferPool::EvictOne(Shard& shard) {
+  // The cold end of the recency list is the victim.
+  assert(!shard.lru.empty());
+  auto found = shard.frames.find(shard.lru.back());
+  assert(found != shard.frames.end());
+  Frame* f = found->second.get();
+  ODE_RETURN_IF_ERROR(FlushFrameLocked(shard, f));
+  m_evictions_->Add();
+  RemoveFrame(shard, f);
   return Status::OK();
 }
 
@@ -259,23 +223,14 @@ void BufferPool::RemoveFrame(Shard& shard, Frame* frame) {
 
 Status BufferPool::EnsureRoom(Shard& shard) {
   if (shard.frames.size() < shard.capacity) return Status::OK();
-  bool evicted = false;
-  ODE_RETURN_IF_ERROR(EvictOne(shard, &evicted));
-  if (!evicted) {
-    // Everything pinned: grow rather than fail.
-    stats_.grows.fetch_add(1, std::memory_order_relaxed);
-    m_grows_->Add();
-  }
-  return Status::OK();
+  return EvictOne(shard);
 }
 
 Status BufferPool::ShrinkToCapacity() {
   for (auto& shard : shards_) {
     MutexLock lock(shard->mu);
     while (shard->frames.size() > shard->capacity) {
-      bool evicted = false;
-      ODE_RETURN_IF_ERROR(EvictOne(*shard, &evicted));
-      if (!evicted) break;  // Everything pinned: give up for now.
+      ODE_RETURN_IF_ERROR(EvictOne(*shard));
     }
   }
   return Status::OK();
@@ -286,7 +241,6 @@ Status BufferPool::FlushFrameLocked(Shard& shard, Frame* frame) {
   if (!frame->dirty) return Status::OK();
   ODE_RETURN_IF_ERROR(pager_->WritePage(frame->id, frame->data.get()));
   frame->dirty = false;
-  stats_.flushes.fetch_add(1, std::memory_order_relaxed);
   m_flushes_->Add();
   return Status::OK();
 }
@@ -311,7 +265,7 @@ void BufferPool::Evict(PageId id) {
   MutexLock lock(shard.mu);
   auto it = shard.frames.find(id);
   if (it == shard.frames.end()) return;
-  if (it->second->pins > 0 || it->second->dirty) return;
+  if (it->second->dirty) return;
   RemoveFrame(shard, it->second.get());
 }
 
@@ -322,17 +276,6 @@ size_t BufferPool::size() const {
     n += shard->frames.size();
   }
   return n;
-}
-
-void BufferPool::ResetStats() {
-  stats_.hits.store(0, std::memory_order_relaxed);
-  stats_.misses.store(0, std::memory_order_relaxed);
-  stats_.evictions.store(0, std::memory_order_relaxed);
-  stats_.flushes.store(0, std::memory_order_relaxed);
-  stats_.grows.store(0, std::memory_order_relaxed);
-  stats_.read_errors.store(0, std::memory_order_relaxed);
-  stats_.prefetch_loads.store(0, std::memory_order_relaxed);
-  stats_.prefetch_hits.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace ode

@@ -1,7 +1,6 @@
 #ifndef ODE_STORAGE_BUFFER_POOL_H_
 #define ODE_STORAGE_BUFFER_POOL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -37,39 +36,11 @@ namespace ode {
 /// `storage.pool.*` stats aggregate across shards.
 class BufferPool {
  public:
-  struct Frame {
-    PageId id = kInvalidPageId;
-    int pins = 0;            ///< Legacy Fetch/Unpin pins (tests, tools).
-    bool dirty = false;      ///< Frame content differs from the db file.
-    /// Loaded by Prefetch and not yet touched by a demand fetch; the first
-    /// fetch counts as a prefetch hit (storage.pool.prefetch_hits) and
-    /// clears the flag.
-    bool prefetched = false;
-    std::list<PageId>::iterator lru_pos;  ///< Position in the recency list.
-    /// Shared so outstanding PageHandles keep a swapped-out image alive.
-    std::shared_ptr<char[]> data;
-  };
-
-  /// All fields are atomics: stats are bumped from concurrent sessions.
-  /// Loads convert implicitly, so `stats().hits == 3u` reads naturally.
-  struct Stats {
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};  ///< Demand reads (not prefetch loads).
-    std::atomic<uint64_t> evictions{0};
-    std::atomic<uint64_t> flushes{0};
-    std::atomic<uint64_t> grows{0};  ///< Times the pool exceeded capacity.
-    std::atomic<uint64_t> read_errors{0};  ///< Misses whose page read failed
-                                           ///< (no frame is cached).
-    std::atomic<uint64_t> prefetch_loads{0};  ///< Frames loaded by Prefetch.
-    std::atomic<uint64_t> prefetch_hits{0};   ///< First fetch of a
-                                              ///< prefetched frame.
-  };
-
-  /// `metrics` mirrors the Stats struct into `storage.pool.*` registry
-  /// counters; nullptr means the global registry. `shards` is rounded down
-  /// to a power of two and clamped to [1, capacity] (a shard with zero
-  /// capacity could never cache anything); the default keeps the historic
-  /// single-mutex behavior for direct constructions — the engine passes
+  /// `metrics` receives the `storage.pool.*` counters (docs/OBSERVABILITY.md);
+  /// nullptr means the global registry. `shards` is rounded down to a power
+  /// of two and clamped to [1, capacity] (a shard with zero capacity could
+  /// never cache anything); the default keeps the historic single-mutex
+  /// behavior for direct constructions — the engine passes
   /// EngineOptions::buffer_pool_shards.
   BufferPool(Pager* pager, size_t capacity_pages,
              MetricsRegistry* metrics = nullptr, size_t shards = 1);
@@ -85,23 +56,15 @@ class BufferPool {
   /// Fetches the committed image of `id` into `*handle` (loading from the
   /// pager on a miss). The handle shares ownership of the buffer: it stays
   /// readable even if a later Install() replaces the frame's image or the
-  /// frame is evicted. No pin is taken — eviction is safe.
+  /// frame is evicted.
   Status FetchHandle(PageId id, class PageHandle* handle);
 
   /// Publishes a committed page image: the frame (created on demand) gets a
   /// fresh buffer holding `data`, marked dirty, swapped in atomically under
-  /// the shard mutex. Never fails: if the shard is full and nothing is
-  /// evictable it grows instead (the commit this image belongs to is already
-  /// durable in the WAL — failure is not an option here).
+  /// the shard mutex. Never fails: if the shard is full and evicting its LRU
+  /// frame fails to flush, it grows instead (the commit this image belongs to
+  /// is already durable in the WAL — failure is not an option here).
   void Install(PageId id, const char* data);
-
-  /// Legacy pinning fetch (single-threaded tests and tools). The caller must
-  /// Unpin() exactly once per successful Fetch; the Frame* stays resident
-  /// until unpinned. Concurrent Install() to the same page still swaps the
-  /// buffer — do not hold raw data pointers across engine commits.
-  Status Fetch(PageId id, Frame** frame);
-
-  void Unpin(Frame* frame);
 
   /// Read-ahead for cold scans: loads the not-yet-resident pages among `ids`
   /// with batched sequential reads (Pager::ReadPages over each contiguous
@@ -119,7 +82,8 @@ class BufferPool {
   /// checkpointer uses it to size its write-behind metrics.
   Status FlushAll(size_t* flushed = nullptr);
 
-  /// Drops an unpinned clean frame from the pool if cached (test helper).
+  /// Drops a clean frame from the pool if cached (Vacuum drops the truncated
+  /// tail this way).
   void Evict(PageId id);
 
   /// Evicts LRU frames (flushing dirty ones) until every shard is back
@@ -130,10 +94,20 @@ class BufferPool {
   size_t size() const;
   /// Number of shards actually in use (after rounding/clamping).
   size_t shard_count() const { return shards_.size(); }
-  const Stats& stats() const { return stats_; }
-  void ResetStats();
 
  private:
+  struct Frame {
+    PageId id = kInvalidPageId;
+    bool dirty = false;      ///< Frame content differs from the db file.
+    /// Loaded by Prefetch and not yet touched by a demand fetch; the first
+    /// fetch counts as a prefetch hit (storage.pool.prefetch_hits) and
+    /// clears the flag.
+    bool prefetched = false;
+    std::list<PageId>::iterator lru_pos;  ///< Position in the recency list.
+    /// Shared so outstanding PageHandles keep a swapped-out image alive.
+    std::shared_ptr<char[]> data;
+  };
+
   struct Shard {
     mutable Mutex mu;  ///< Guards frames, lru, and frame fields.
     std::unordered_map<PageId, std::unique_ptr<Frame>> frames GUARDED_BY(mu);
@@ -150,13 +124,12 @@ class BufferPool {
     return *shards_[(id * 0x9E3779B97F4A7C15ull) >> shard_shift_];
   }
 
-  /// Makes room for one more frame if the shard is at capacity. Grows when
-  /// every frame is pinned.
+  /// Makes room for one more frame if the shard is at capacity.
   Status EnsureRoom(Shard& shard) REQUIRES(shard.mu);
 
-  /// Evicts the shard's least-recently-used evictable frame; sets
-  /// *evicted=false if every frame is pinned.
-  Status EvictOne(Shard& shard, bool* evicted) REQUIRES(shard.mu);
+  /// Evicts the shard's least-recently-used frame (flushing it if dirty).
+  /// The shard must not be empty.
+  Status EvictOne(Shard& shard) REQUIRES(shard.mu);
 
   Status FlushFrameLocked(Shard& shard, Frame* frame) REQUIRES(shard.mu);
   void RemoveFrame(Shard& shard, Frame* frame) REQUIRES(shard.mu);
@@ -167,14 +140,13 @@ class BufferPool {
   size_t capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;  ///< Power-of-two count.
   unsigned shard_shift_;  ///< 64 - log2(shards_.size()); selector shift.
-  Stats stats_;
-  // Registry mirrors of Stats (storage.pool.*, see docs/OBSERVABILITY.md).
+  // storage.pool.* instruments (docs/OBSERVABILITY.md).
   Counter* m_hits_;
-  Counter* m_misses_;
+  Counter* m_misses_;  ///< Demand reads (not prefetch loads).
   Counter* m_evictions_;
   Counter* m_flushes_;
-  Counter* m_grows_;
-  Counter* m_read_errors_;
+  Counter* m_grows_;  ///< Installs that grew a full shard (flush failed).
+  Counter* m_read_errors_;  ///< Page reads that failed (no frame cached).
   Counter* m_prefetch_loads_;  ///< storage.pool.prefetch_loads
   Counter* m_prefetch_hits_;   ///< storage.pool.prefetch_hits
   Gauge* m_frames_;  ///< storage.pool.frames: current resident frame count
@@ -182,22 +154,16 @@ class BufferPool {
 
 /// A readable (and for transaction shadow pages, writable) view of one page.
 ///
-/// Four flavors share this one type so callers are agnostic:
+/// Three flavors share this one type so callers are agnostic:
 ///  - FetchHandle(): shares ownership of a committed pool buffer (owner_
-///    set, frame_ null) — safe across concurrent Install/eviction.
+///    set) — safe across concurrent Install/eviction.
 ///  - Borrowed(): a non-owning view of a transaction's private shadow page
 ///    (only data_/id_ set) — lifetime bounded by the transaction.
 ///  - Shared(): shares ownership of an engine-provided buffer (pending
 ///    group-commit images) — same lifetime guarantees as FetchHandle().
-///  - legacy pinned mode (pool_ + frame_): RAII Unpin on release.
 class PageHandle {
  public:
   PageHandle() = default;
-  PageHandle(BufferPool* pool, BufferPool::Frame* frame)
-      : pool_(pool),
-        frame_(frame),
-        data_(frame != nullptr ? frame->data.get() : nullptr),
-        id_(frame != nullptr ? frame->id : kInvalidPageId) {}
   ~PageHandle() { Release(); }
 
   /// A non-owning view (transaction shadow pages). The caller guarantees
@@ -235,14 +201,8 @@ class PageHandle {
   PageId id() const { return id_; }
   const char* data() const { return data_; }
   char* mutable_data() { return data_; }
-  BufferPool::Frame* frame() { return frame_; }
 
   void Release() {
-    if (frame_ != nullptr && pool_ != nullptr) {
-      pool_->Unpin(frame_);
-    }
-    pool_ = nullptr;
-    frame_ = nullptr;
     owner_.reset();
     data_ = nullptr;
     id_ = kInvalidPageId;
@@ -252,20 +212,14 @@ class PageHandle {
   friend class BufferPool;
 
   void MoveFrom(PageHandle& other) {
-    pool_ = other.pool_;
-    frame_ = other.frame_;
     owner_ = std::move(other.owner_);
     data_ = other.data_;
     id_ = other.id_;
-    other.pool_ = nullptr;
-    other.frame_ = nullptr;
     other.data_ = nullptr;
     other.id_ = kInvalidPageId;
   }
 
-  BufferPool* pool_ = nullptr;
-  BufferPool::Frame* frame_ = nullptr;   ///< Legacy pinned mode only.
-  std::shared_ptr<char[]> owner_;        ///< Shared-buffer modes.
+  std::shared_ptr<char[]> owner_;  ///< Shared-buffer modes.
   char* data_ = nullptr;
   PageId id_ = kInvalidPageId;
 };

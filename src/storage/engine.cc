@@ -208,7 +208,6 @@ Status StorageEngine::Close() {
   }
   for (auto& txn : leaked) {
     locks_->ReleaseAll(txn->id);
-    stats_.txns_aborted.fetch_add(1, std::memory_order_relaxed);
     m_txn_aborts_->Add();
   }
   UnbindTls();
@@ -315,10 +314,8 @@ void StorageEngine::FinishTxn(TxnState* txn, bool committed) {
     m_active_txns_->Set(static_cast<int64_t>(txns_.size()));
   }
   if (committed) {
-    stats_.txns_committed.fetch_add(1, std::memory_order_relaxed);
     m_txn_commits_->Add();
   } else {
-    stats_.txns_aborted.fetch_add(1, std::memory_order_relaxed);
     m_txn_aborts_->Add();
   }
 }
@@ -340,7 +337,6 @@ Status StorageEngine::CommitTxn(
     for (uint64_t dep : state->dep_seqs) dep_hi = std::max(dep_hi, dep);
     if (dep_hi != 0) durable = WaitForDurableSeq(dep_hi);
     if (!durable.ok()) {
-      stats_.commit_failures.fetch_add(1, std::memory_order_relaxed);
       m_commit_failures_->Add();
       FinishTxn(state, /*committed=*/false);
       if (release_locks) locks_->ReleaseAll(txn);
@@ -448,7 +444,6 @@ Status StorageEngine::CommitTxn(
     }();
   }
   if (!logged.ok()) {
-    stats_.commit_failures.fetch_add(1, std::memory_order_relaxed);
     m_commit_failures_->Add();
     if (!wedged_.load(std::memory_order_acquire)) {
       ODE_LOG(kWarn) << "commit " << txn
@@ -479,7 +474,6 @@ Status StorageEngine::CommitTxn(
     if (!durable.ok()) {
       // The whole batch failed; the leader already scrubbed the log and
       // dropped the pending images. Degrade to an abort.
-      stats_.commit_failures.fetch_add(1, std::memory_order_relaxed);
       m_commit_failures_->Add();
       ODE_LOG(kWarn) << "commit " << txn
                      << " failed, rolled back: " << durable.ToString();
@@ -505,14 +499,10 @@ Status StorageEngine::CommitTxn(
       ckpt_wake_ = true;
       ckpt_cv_.NotifyOne();
     } else {
-      // Legacy inline path: auto-checkpoint under txn_mu_ with txns_ empty —
-      // committing sessions stay registered until their batch is durable, so
-      // an empty table means no one can be appending (BeginTxn also needs
-      // txn_mu_, so no one can start while we hold it).
-      MutexLock lock(txn_mu_);
-      if (txns_.empty()) {
-        maintenance = CheckpointLocked();
-      }
+      // No checkpointer thread: this session runs the same checkpoint
+      // itself before returning. It tolerates other sessions' open
+      // transactions, so a busy engine still bounds its log.
+      maintenance = FuzzyCheckpoint();
     }
   }
   if (!maintenance.ok()) {
@@ -905,7 +895,6 @@ Status StorageEngine::AllocPage(PageId* id, PageHandle* handle) {
     memset(freed.mutable_data(), 0, kPageSize);
     *id = page;
     *handle = std::move(freed);
-    stats_.pages_allocated.fetch_add(1, std::memory_order_relaxed);
     m_pages_allocated_->Add();
     return Status::OK();
   }
@@ -920,7 +909,6 @@ Status StorageEngine::AllocPage(PageId* id, PageHandle* handle) {
   memset(fresh.mutable_data(), 0, kPageSize);
   *id = page;
   *handle = std::move(fresh);
-  stats_.pages_allocated.fetch_add(1, std::memory_order_relaxed);
   m_pages_allocated_->Add();
   return Status::OK();
 }
@@ -943,7 +931,6 @@ Status StorageEngine::FreePage(PageId id) {
   memset(handle.mutable_data(), 0, kPageSize);
   EncodeFixed32(handle.mutable_data(), free_head);
   ODE_RETURN_IF_ERROR(WriteSuperU32(SuperblockLayout::kFreeListOffset, id));
-  stats_.pages_freed.fetch_add(1, std::memory_order_relaxed);
   m_pages_freed_->Add();
   return Status::OK();
 }
@@ -1058,11 +1045,18 @@ Result<uint32_t> StorageEngine::Vacuum() {
 }
 
 Status StorageEngine::Checkpoint() {
-  MutexLock lock(txn_mu_);
+  MutexLock txn_lock(txn_mu_);
   if (!txns_.empty()) {
     return Status::Busy("cannot checkpoint inside a transaction");
   }
-  return CheckpointLocked();
+  // No transaction is alive: committing sessions stay registered until
+  // their batch resolves, so no batch is in flight and nothing is pending
+  // (BeginTxn also needs txn_mu_, so no one can start while we hold it).
+  MutexLock lock(commit_mu_);
+  ODE_RETURN_IF_ERROR(CheckpointCriticalLocked());
+  // No live transaction means no dependencies on failed batches either.
+  dead_seqs_.clear();
+  return Status::OK();
 }
 
 Status StorageEngine::FuzzyCheckpoint() {
@@ -1074,38 +1068,54 @@ Status StorageEngine::FuzzyCheckpoint() {
   ODE_RETURN_IF_ERROR(pager_->Sync());
   m_ckpt_wb_pages_->Add(behind);
 
-  // Phase 2 — horizon reset, under the log latch. New publishes are
-  // excluded by the latch for the whole critical section. An in-flight
-  // batch leader (out on its fsync with leadership held) gets a bounded
-  // wait; if it does not resolve in time the reset is deferred — waiting
-  // for the QUEUE to drain instead would never terminate under sustained
-  // load, because every wait releases the latch and lets new publishes in.
-  const auto critical_start = std::chrono::steady_clock::now();
+  // Phase 2 — horizon reset, under the log latch. dead_seqs_ stays, unlike
+  // the idle-engine checkpoint: live transactions may still hold dep_seqs
+  // into failed batches, and those dependencies must keep aborting their
+  // commits.
   MutexLock lock(commit_mu_);
+  Status s = CheckpointCriticalLocked();
+  if (s.IsBusy()) return Status::OK();  // deferred; counted already
+  ODE_RETURN_IF_ERROR(s);
+  m_ckpt_fuzzy_->Add();
+  return Status::OK();
+}
+
+Status StorageEngine::CheckpointCriticalLocked() {
+  // New publishes are excluded by the latch for the whole critical section.
+  // An in-flight batch leader (out on its fsync with leadership held) gets
+  // a bounded wait; if it does not resolve in time the reset is deferred —
+  // waiting for the QUEUE to drain instead would never terminate under
+  // sustained load, because every wait releases the latch and lets new
+  // publishes in.
+  const auto critical_start = std::chrono::steady_clock::now();
   const auto batch_deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+      critical_start + std::chrono::milliseconds(100);
   while (sync_active_) {
     if (!commit_cv_.WaitUntil(commit_mu_, batch_deadline)) break;
   }
   if (sync_active_) {
     m_ckpt_deferred_->Add();
-    return Status::OK();
+    return Status::Busy("checkpoint deferred: a commit batch is in flight");
   }
   // Quiesce the unsynced tail ourselves, latch held: no leader is in flight
   // and publishes are excluded, so one covering fsync makes everything
   // published durable, and resolving that batch empties pending_ and the
-  // queue — deterministically, without releasing the latch.
-  if (!sync_queue_.empty() || !pending_.empty() || synced_seq_ < commit_seq_) {
+  // queue — deterministically, without releasing the latch. (Every unsynced
+  // publish has a waiter queued; a sequence gap with an empty queue is a
+  // failed batch whose records were already scrubbed, so it needs no sync.)
+  if (!sync_queue_.empty() || !pending_.empty()) {
     Status synced = wal_->Sync();
     CompleteBatchLocked(commit_seq_, wal_->size_bytes(), synced);
     commit_cv_.NotifyAll();  // waiters resolved above wake on their done flag
     if (!synced.ok()) return synced;  // failure path already scrubbed
   }
-  // Everything published is durable and installed (synced_seq_ ==
-  // commit_seq_). Stamp the id/sequence counters into the cached superblock
-  // if they moved, flush the residual dirty set, and only then cut the log.
-  // Taking pool shard mutexes here is the documented lock order
-  // (commit_mu_ before shard mutexes).
+  // Everything published is durable and installed, or scrubbed. Persist
+  // the id and publish-sequence counters: stamp them into the cached
+  // superblock if they moved, so both keep advancing across a clean
+  // close/reopen (MVCC version stamps on disk must never exceed a reopened
+  // engine's starting commit_seq_). Then flush the residual dirty set, and
+  // only then cut the log. Taking pool shard mutexes here is the
+  // documented lock order (commit_mu_ before shard mutexes).
   {
     PageHandle super;
     ODE_RETURN_IF_ERROR(pool_->FetchHandle(kSuperblockPageId, &super));
@@ -1129,67 +1139,14 @@ Status StorageEngine::FuzzyCheckpoint() {
   ODE_RETURN_IF_ERROR(wal_->Reset());
   synced_wal_offset_ = 0;
   synced_seq_ = commit_seq_;
-  // dead_seqs_ stays, unlike the idle-engine checkpoint: live transactions
-  // may still hold dep_seqs into failed batches, and those dependencies
-  // must keep aborting their commits.
-  stats_.checkpoints.fetch_add(1, std::memory_order_relaxed);
   m_checkpoints_->Add();
-  m_ckpt_fuzzy_->Add();
-  // An empty log can no longer resurrect anything: a wedge is resolved.
+  // An empty log can no longer resurrect anything: a wedge (failed commit
+  // whose partial records could not be scrubbed) is resolved.
   wedged_.store(false, std::memory_order_release);
   m_ckpt_critical_us_->Add(static_cast<double>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - critical_start)
           .count()));
-  return Status::OK();
-}
-
-Status StorageEngine::CheckpointLocked() {
-  // Persist the id and publish-sequence counters: stamp them into the
-  // committed superblock image so both keep advancing across a clean
-  // close/reopen (MVCC version stamps on disk must never exceed a reopened
-  // engine's starting commit_seq_).
-  {
-    PageHandle super;
-    ODE_RETURN_IF_ERROR(pool_->FetchHandle(kSuperblockPageId, &super));
-    const uint64_t next = next_txn_id_.load(std::memory_order_relaxed);
-    uint64_t seq;
-    {
-      MutexLock lock(commit_mu_);
-      seq = commit_seq_;
-    }
-    if (DecodeFixed64(super.data() + SuperblockLayout::kNextTxnIdOffset) !=
-            next ||
-        DecodeFixed64(super.data() + SuperblockLayout::kCommitSeqOffset) !=
-            seq) {
-      char image[kPageSize];
-      memcpy(image, super.data(), kPageSize);
-      EncodeFixed64(image + SuperblockLayout::kNextTxnIdOffset, next);
-      EncodeFixed64(image + SuperblockLayout::kCommitSeqOffset, seq);
-      pool_->Install(kSuperblockPageId, image);
-    }
-  }
-  ODE_RETURN_IF_ERROR(pool_->FlushAll());
-  ODE_RETURN_IF_ERROR(pager_->Sync());
-  {
-    // Reset the group-commit horizon together with the log. txns_ is empty
-    // (caller holds txn_mu_), and committing sessions stay registered until
-    // their batch resolves, so pending_ and sync_queue_ are empty too —
-    // there is nothing in flight to lose. dead_seqs_ can go as well: no
-    // live transaction means no dependencies on failed batches.
-    MutexLock lock(commit_mu_);
-    ODE_RETURN_IF_ERROR(wal_->Reset());
-    synced_wal_offset_ = 0;
-    synced_seq_ = commit_seq_;
-    assert(pending_.empty());
-    assert(sync_queue_.empty());
-    dead_seqs_.clear();
-  }
-  stats_.checkpoints.fetch_add(1, std::memory_order_relaxed);
-  m_checkpoints_->Add();
-  // An empty log can no longer resurrect anything: a wedge (failed commit
-  // whose partial records could not be scrubbed) is resolved.
-  wedged_.store(false, std::memory_order_release);
   return Status::OK();
 }
 

@@ -42,14 +42,15 @@ struct EngineOptions {
   uint64_t group_commit_window_us = 0;
   /// Checkpoint (flush pages + truncate log) once the WAL exceeds this size.
   uint64_t checkpoint_wal_bytes = 8ull << 20;
-  /// Run the threshold checkpoint fuzzily on a background thread
-  /// (docs/STORAGE.md "Fuzzy checkpoints"): dirty pages are written behind
-  /// while commits proceed, then a short critical section under the log
-  /// latch resets the horizon and truncates the WAL — commits never pay for
-  /// the checkpoint inline, so p99 commit latency stays flat. Off by
-  /// default: the legacy inline checkpoint (at commit, engine idle) keeps
-  /// fault-injection op counts deterministic for the crash sweeps; servers
-  /// and benches turn this on.
+  /// Which thread runs the threshold checkpoint (docs/STORAGE.md "Fuzzy
+  /// checkpoints"). Either way it is the one fuzzy checkpoint: dirty pages
+  /// are written behind while commits proceed, then a short critical section
+  /// under the log latch resets the horizon and truncates the WAL. On, a
+  /// background thread runs it, so commits never pay for it and p99 commit
+  /// latency stays flat; servers and benches turn this on. Off (the
+  /// default), the commit that crosses checkpoint_wal_bytes runs it before
+  /// returning, which keeps fault-injection op counts deterministic for the
+  /// crash sweeps.
   bool background_checkpoint = false;
   /// Shared query worker pool size for parallel ForAll execution
   /// (docs/CONCURRENCY.md "Parallel query execution"). The engine itself
@@ -91,18 +92,6 @@ struct EngineOptions {
 /// replays committed transactions from the log (crash recovery).
 class StorageEngine {
  public:
-  /// All fields are atomics: sessions commit/abort concurrently. Loads
-  /// convert implicitly, so `stats().txns_committed == 3u` reads naturally.
-  struct Stats {
-    std::atomic<uint64_t> txns_committed{0};
-    std::atomic<uint64_t> txns_aborted{0};
-    std::atomic<uint64_t> pages_allocated{0};
-    std::atomic<uint64_t> pages_freed{0};
-    std::atomic<uint64_t> checkpoints{0};
-    std::atomic<uint64_t> commit_failures{0};  ///< Commits degraded to aborts
-                                               ///< by I/O errors.
-  };
-
   StorageEngine(const StorageEngine&) = delete;
   StorageEngine& operator=(const StorageEngine&) = delete;
 
@@ -272,23 +261,25 @@ class StorageEngine {
 
   // --- Maintenance ---------------------------------------------------------
 
-  /// Flushes all committed dirty pages, syncs the db file, truncates the WAL.
-  /// Fails with Busy while any transaction is active (also runs
-  /// automatically after a commit that crossed checkpoint_wal_bytes, while
-  /// the committer still holds the writer token).
+  /// Flushes all committed dirty pages, syncs the db file, truncates the WAL:
+  /// the checkpoint critical section run on an idle engine (Close, Vacuum,
+  /// tools). Fails with Busy while any transaction is active. Also forgets
+  /// failed group-commit batches, since no transaction can depend on them.
   Status Checkpoint();
 
   /// Fuzzy (incremental) checkpoint — docs/STORAGE.md "Fuzzy checkpoints".
   /// Phase 1 writes the dirty set behind and syncs the db file with NO
   /// engine-wide lock held, so commits keep publishing. Phase 2 takes the
-  /// log latch for a short critical section: a bounded wait for any
+  /// log latch for the checkpoint critical section: a bounded wait for any
   /// in-flight group-commit batch, a flush of the (small) residual dirty
   /// set, then the horizon reset and WAL truncation. Unlike Checkpoint(),
   /// runs with transactions active: their shadow pages are private and
   /// their publishes are excluded by the latch. If a batch stays in flight
   /// past the bound the reset is deferred (OK is returned;
   /// storage.checkpoint.deferred counts it). dead_seqs_ is kept — live
-  /// transactions may still hold dependencies into failed batches.
+  /// transactions may still hold dependencies into failed batches. A commit
+  /// that crosses checkpoint_wal_bytes runs this (inline, or on the
+  /// background thread — EngineOptions::background_checkpoint).
   Status FuzzyCheckpoint();
 
   /// Reclaims trailing free pages: unlinks every free page at the end of
@@ -307,7 +298,6 @@ class StorageEngine {
   BufferPool& buffer_pool() { return *pool_; }
   Wal& wal() { return *wal_; }
   concur::LockManager& lock_manager() { return *locks_; }
-  const Stats& stats() const { return stats_; }
   const std::string& path() const { return path_; }
   /// The registry this engine reports into (resolved from
   /// EngineOptions::metrics; never null).
@@ -361,11 +351,14 @@ class StorageEngine {
   /// unbinds the calling thread's binding. Does NOT release locks.
   void FinishTxn(TxnState* txn, bool committed);
 
-  /// Flush + sync + WAL reset + next_txn_id stamp. Caller must guarantee no
-  /// concurrent WAL appends (holds txn_mu_ with txns_ empty — committing
-  /// sessions stay in txns_ until their batch is durable, so empty txns_
-  /// implies an idle log and empty pending_).
-  Status CheckpointLocked() REQUIRES(txn_mu_);
+  /// The checkpoint critical section (docs/STORAGE.md "Fuzzy checkpoints"),
+  /// shared by Checkpoint() and FuzzyCheckpoint(): a bounded wait for an
+  /// in-flight group-commit batch, a covering fsync of the unsynced tail,
+  /// the id/sequence stamp into the superblock, a flush of the dirty set, a
+  /// db-file sync and the WAL reset. Returns Busy without touching anything
+  /// (and counts storage.checkpoint.deferred) if a batch stays in flight
+  /// past the bound. Leaves dead_seqs_ to the caller.
+  Status CheckpointCriticalLocked() REQUIRES(commit_mu_);
 
   /// Background checkpointer (EngineOptions::background_checkpoint): sleeps
   /// until CommitTxn observes the WAL past checkpoint_wal_bytes and nudges
@@ -449,7 +442,7 @@ class StorageEngine {
   std::deque<SyncWaiter*> sync_queue_ GUARDED_BY(commit_mu_);
   /// Closed [lo, hi] publish-sequence intervals of failed batches. Commits
   /// whose dep_seqs intersect these read never-durable data and must abort.
-  /// Cleared at checkpoint (no transactions alive, so no deps either).
+  /// Cleared by Checkpoint() (no transactions alive, so no deps either).
   std::vector<std::pair<uint64_t, uint64_t>> dead_seqs_ GUARDED_BY(commit_mu_);
   /// Snapshot sequences of active snapshot readers (multiset: several
   /// snapshots can mint the same horizon). Min = the GC watermark.
@@ -476,9 +469,8 @@ class StorageEngine {
   bool vacuum_active_ GUARDED_BY(txn_mu_) = false;
   std::thread::id vacuum_owner_ GUARDED_BY(txn_mu_);
 
-  Stats stats_;
   MetricsRegistry* metrics_;  // resolved, never null
-  // Registry mirrors of Stats (storage.engine.*).
+  // Engine instruments (storage.engine.*, docs/OBSERVABILITY.md).
   Counter* m_txn_begins_;
   Counter* m_txn_commits_;
   Counter* m_txn_aborts_;

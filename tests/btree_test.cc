@@ -217,9 +217,11 @@ TEST_F(BTreeTest, DropFreesPages) {
   for (int i = 0; i < 3000; i++) {
     ASSERT_OK(tree_->Insert(Slice("key" + std::to_string(i)), i));
   }
-  const uint64_t freed_before = engine_->stats().pages_freed;
+  const Counter* freed =
+      engine_->metrics().GetCounter("storage.engine.pages_freed");
+  const uint64_t freed_before = freed->value();
   ASSERT_OK(tree_->Drop());
-  EXPECT_GT(engine_->stats().pages_freed - freed_before, 10u);
+  EXPECT_GT(freed->value() - freed_before, 10u);
   tree_.reset();
 }
 

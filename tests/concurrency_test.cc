@@ -217,7 +217,9 @@ TEST_F(ConcurrencyTest, ConstraintViolationAbortsOnlyOffender) {
 // §6 weak coupling, asynchronously: every fired action runs (in a worker
 // transaction) even though the committing threads never execute them.
 TEST_F(ConcurrencyTest, AsyncTriggersAllExecute) {
+  MetricsRegistry registry;  // exact trigger.executed count below
   DatabaseOptions options = TestDb::FastOptions();
+  options.engine.metrics = &registry;
   options.trigger_executor_threads = 2;
   std::atomic<int> fired{0};
   OpenWith(options);
@@ -263,8 +265,9 @@ TEST_F(ConcurrencyTest, AsyncTriggersAllExecute) {
   // One firing per committed update (perpetual trigger, condition true).
   EXPECT_EQ(fired.load(), committed.load());
   EXPECT_EQ(committed.load(), kThreads * kUpdatesPerThread);
-  EXPECT_EQ((*db_)->metrics().GetCounter("trigger.executed")->value(),
+  EXPECT_EQ(registry.GetCounter("trigger.executed")->value(),
             static_cast<uint64_t>(committed.load()));
+  db_.reset();  // before `registry` (a local) goes out of scope
 }
 
 // A once-only activation fires exactly once no matter how many contending
@@ -321,6 +324,9 @@ TEST_F(ConcurrencyTest, ReadersSeeConsistentTotals) {
     }
   });
   std::thread writer([&] {
+    // Overlap the writes with the scans: start once the reader has finished
+    // its first one, or a fast writer could be done before it ever ran.
+    while (reads.load() == 0) std::this_thread::yield();
     for (int i = 0; i < 30; i++) {
       Status s = (*db_)->RunTransaction([&](Transaction& txn) -> Status {
         ODE_ASSIGN_OR_RETURN(StockItem * a, txn.Write(accounts_[0]));
@@ -380,8 +386,14 @@ TEST_F(ConcurrencyTest, DeadlockRetriesAreCounted) {
   constexpr int kRounds = 40;
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
+  // Threads holding their first lock in round 0, by parity. Each thread's
+  // first attempt waits (bounded) until the other parity holds its first
+  // lock too, so at least one cycle forms however the threads are
+  // scheduled; a loaded machine could otherwise run them one after another.
+  std::atomic<int> holding[2] = {{0}, {0}};
   for (int t = 0; t < kThreads; t++) {
     threads.emplace_back([&, t] {
+      bool rendezvous = true;
       for (int i = 0; i < kRounds; i++) {
         // Opposite lock orders by thread parity: a deadlock factory.
         const int first = t % 2 == 0 ? 0 : 1;
@@ -389,6 +401,16 @@ TEST_F(ConcurrencyTest, DeadlockRetriesAreCounted) {
         Status s = (*db_)->RunTransaction([&](Transaction& txn) -> Status {
           ODE_ASSIGN_OR_RETURN(StockItem * a, txn.Write(accounts_[first]));
           a->set_quantity(a->quantity() + 1);
+          if (rendezvous) {
+            rendezvous = false;
+            holding[first].fetch_add(1);
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(5);
+            while (holding[second].load() == 0 &&
+                   std::chrono::steady_clock::now() < deadline) {
+              std::this_thread::yield();
+            }
+          }
           std::this_thread::yield();
           ODE_ASSIGN_OR_RETURN(StockItem * b, txn.Write(accounts_[second]));
           b->set_quantity(b->quantity() - 1);

@@ -292,8 +292,10 @@ TEST(CrashHarness, SweepTornWrites) {
 TEST(CrashHarness, FailedCommitThenNextTransactionSucceeds) {
   TempDir dir;
   FaultInjectionEnv fenv;
+  MetricsRegistry metrics;  // exact failure count below
   DatabaseOptions options;
   options.engine.env = &fenv;
+  options.engine.metrics = &metrics;
   std::unique_ptr<Database> db;
   ASSERT_OK(Database::Open(dir.file("t.db"), options, &db));
   ASSERT_OK(db->CreateCluster<Person>());
@@ -317,7 +319,7 @@ TEST(CrashHarness, FailedCommitThenNextTransactionSucceeds) {
     EXPECT_FALSE(s.ok());
     EXPECT_TRUE(fenv.fault_fired());
   }
-  EXPECT_EQ(db->engine().stats().commit_failures, 1u);
+  EXPECT_EQ(metrics.GetCounter("storage.engine.commit_failures")->value(), 1u);
   {
     // The device is back up (transient fault): business as usual.
     auto txn = ASSERT_OK_AND_UNWRAP(db->Begin());

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <future>
 #include <set>
+#include <thread>
 
 #include "storage/engine.h"
 #include "storage/pager.h"
@@ -84,10 +87,16 @@ TEST(PagerTest, UnwrittenPagesReadZero) {
 class EngineTest : public ::testing::Test {
  protected:
   void Open(EngineOptions options = FastEngine()) {
+    if (options.metrics == nullptr) options.metrics = &metrics_;
     ASSERT_OK(StorageEngine::Open(dir_.file("db"), options, &engine_));
   }
 
+  uint64_t Count(const char* name) {
+    return metrics_.GetCounter(name)->value();
+  }
+
   TempDir dir_;
+  MetricsRegistry metrics_;  // this test's counters only; outlives engine_
   std::unique_ptr<StorageEngine> engine_;
 };
 
@@ -272,7 +281,7 @@ TEST_F(EngineTest, AutoCheckpointAtWalThreshold) {
   EngineOptions options = FastEngine();
   options.checkpoint_wal_bytes = 64 * 1024;
   Open(options);
-  const uint64_t checkpoints_before = engine_->stats().checkpoints;
+  const uint64_t checkpoints_before = Count("storage.engine.checkpoints");
   for (int i = 0; i < 40; i++) {  // each commit logs >= 1 page (4 KiB)
     auto txn = engine_->BeginTxn();
     ASSERT_TRUE(txn.ok());
@@ -282,8 +291,54 @@ TEST_F(EngineTest, AutoCheckpointAtWalThreshold) {
     handle.Release();
     ASSERT_OK(engine_->CommitTxn(txn.value()));
   }
-  EXPECT_GT(engine_->stats().checkpoints, checkpoints_before);
+  EXPECT_GT(Count("storage.engine.checkpoints"), checkpoints_before);
   EXPECT_LT(engine_->wal().size_bytes(), 64u * 1024);
+}
+
+// The threshold checkpoint must not wait for the engine to go idle: with
+// another session's transaction open the whole time, the log still gets cut
+// every time a commit crosses the threshold.
+TEST_F(EngineTest, ThresholdCheckpointRunsWithOtherSessionsActive) {
+  EngineOptions options = FastEngine();
+  options.checkpoint_wal_bytes = 64 * 1024;
+  Open(options);
+  PageId page;
+  {
+    auto txn = engine_->BeginTxn();
+    ASSERT_TRUE(txn.ok());
+    PageHandle handle;
+    ASSERT_OK(engine_->AllocPage(&page, &handle));
+    handle.Release();
+    ASSERT_OK(engine_->CommitTxn(txn.value()));
+  }
+
+  std::promise<void> begun;
+  std::promise<void> finish;
+  std::thread other([&] {
+    auto txn = engine_->BeginTxn();
+    EXPECT_TRUE(txn.ok());
+    begun.set_value();
+    finish.get_future().wait();
+    if (txn.ok()) EXPECT_OK(engine_->AbortTxn(txn.value()));
+  });
+  begun.get_future().wait();
+
+  uint64_t max_wal = 0;
+  for (int i = 0; i < 100; i++) {  // each commit logs one 4 KiB page image
+    auto txn = engine_->BeginTxn();
+    ASSERT_TRUE(txn.ok());
+    PageHandle handle;
+    ASSERT_OK(engine_->GetPageWrite(page, &handle));
+    EncodeFixed32(handle.mutable_data(), static_cast<uint32_t>(i));
+    handle.Release();
+    ASSERT_OK(engine_->CommitTxn(txn.value()));
+    max_wal = std::max(max_wal, engine_->wal().size_bytes());
+  }
+  finish.set_value();
+  other.join();
+  EXPECT_LT(max_wal, options.checkpoint_wal_bytes + 2 * kPageSize);
+  EXPECT_LT(engine_->wal().size_bytes(),
+            options.checkpoint_wal_bytes + 2 * kPageSize);
 }
 
 // --- Commit failure handling ----------------------------------------------------
@@ -315,8 +370,8 @@ TEST_F(EngineTest, TransientCommitFailureDegradesToAbort) {
     EXPECT_TRUE(fenv.fault_fired());
   }
   EXPECT_FALSE(engine_->in_txn());
-  EXPECT_EQ(engine_->stats().commit_failures, 1u);
-  EXPECT_EQ(engine_->stats().txns_aborted, 1u);
+  EXPECT_EQ(Count("storage.engine.commit_failures"), 1u);
+  EXPECT_EQ(Count("storage.engine.txn_aborts"), 1u);
   EXPECT_EQ(engine_->wal().size_bytes(), 0u);  // partial records scrubbed
 
   // The engine is immediately usable: the next transaction sees the
@@ -379,11 +434,14 @@ TEST(BufferPoolTest, FailedFetchLeavesPoolConsistent) {
   std::unique_ptr<Pager> pager;
   bool created;
   ASSERT_OK(Pager::Open(&fenv, dir.file("db"), &pager, &created));
-  BufferPool pool(pager.get(), 4);
+  MetricsRegistry metrics;
+  BufferPool pool(pager.get(), 4, &metrics);
+  const Counter* read_errors = metrics.GetCounter("storage.pool.read_errors");
+  const Counter* hits = metrics.GetCounter("storage.pool.hits");
 
-  BufferPool::Frame* frame = nullptr;
-  ASSERT_OK(pool.Fetch(kSuperblockPageId, &frame));
-  pool.Unpin(frame);
+  PageHandle handle;
+  ASSERT_OK(pool.FetchHandle(kSuperblockPageId, &handle));
+  handle.Release();
   EXPECT_EQ(pool.size(), 1u);
 
   FaultInjectionEnv::FaultSpec spec;
@@ -391,35 +449,35 @@ TEST(BufferPoolTest, FailedFetchLeavesPoolConsistent) {
   spec.nth = 1;
   spec.transient = true;
   fenv.ArmFault(spec);
-  Status s = pool.Fetch(9, &frame);
+  Status s = pool.FetchHandle(9, &handle);
   EXPECT_FALSE(s.ok());
-  EXPECT_EQ(pool.stats().read_errors, 1u);
+  EXPECT_FALSE(handle.valid());
+  EXPECT_EQ(read_errors->value(), 1u);
   // No half-initialized frame was left behind.
   EXPECT_EQ(pool.size(), 1u);
 
   // The pool keeps working: the failed page fetches fine once the device
   // recovers, and the resident frame is still addressable as a hit.
-  ASSERT_OK(pool.Fetch(9, &frame));
-  pool.Unpin(frame);
+  ASSERT_OK(pool.FetchHandle(9, &handle));
+  handle.Release();
   EXPECT_EQ(pool.size(), 2u);
-  pool.ResetStats();
-  ASSERT_OK(pool.Fetch(kSuperblockPageId, &frame));
-  pool.Unpin(frame);
-  EXPECT_EQ(pool.stats().hits, 1u);
+  const uint64_t hits_before = hits->value();
+  ASSERT_OK(pool.FetchHandle(kSuperblockPageId, &handle));
+  EXPECT_EQ(hits->value() - hits_before, 1u);
 }
 
 TEST_F(EngineTest, BufferPoolHitsAndMisses) {
   Open();
-  engine_->buffer_pool().ResetStats();
+  const uint64_t misses_before = Count("storage.pool.misses");
+  const uint64_t hits_before = Count("storage.pool.hits");
   // Page 3 was never touched: first fetch misses, second hits.
   PageHandle handle;
   ASSERT_OK(engine_->GetPageRead(3, &handle));
   handle.Release();
   ASSERT_OK(engine_->GetPageRead(3, &handle));
   handle.Release();
-  const auto& stats = engine_->buffer_pool().stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_GE(stats.hits, 1u);
+  EXPECT_EQ(Count("storage.pool.misses") - misses_before, 1u);
+  EXPECT_GE(Count("storage.pool.hits") - hits_before, 1u);
 }
 
 TEST_F(EngineTest, EvictionUnderCapacity) {
@@ -448,7 +506,7 @@ TEST_F(EngineTest, EvictionUnderCapacity) {
       ASSERT_EQ(DecodeFixed32(handle.data()), page * 31);
     }
   }
-  EXPECT_GT(engine_->buffer_pool().stats().evictions, 0u);
+  EXPECT_GT(Count("storage.pool.evictions"), 0u);
   EXPECT_LE(engine_->buffer_pool().size(), 9u);  // capacity + slack
 }
 
@@ -471,8 +529,8 @@ TEST_F(EngineTest, UncommittedPagesStayPrivateToShadows) {
     EncodeFixed32(handle.mutable_data(), 0xC0FFEE00u + i);
     pages.push_back(page);
   }
-  EXPECT_EQ(engine_->buffer_pool().stats().grows, 0u);
-  EXPECT_EQ(engine_->buffer_pool().stats().flushes, 0u);
+  EXPECT_EQ(Count("storage.pool.grows"), 0u);
+  EXPECT_EQ(Count("storage.pool.flushes"), 0u);
   ASSERT_OK(engine_->CommitTxn(txn.value()));
   for (size_t i = 0; i < pages.size(); i++) {
     PageHandle handle;

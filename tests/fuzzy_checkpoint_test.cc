@@ -206,9 +206,12 @@ TEST(FuzzyCheckpoint, TruncatesWalAndPreservesData) {
   ASSERT_OK(CommitBatch(db.db.get(), "a", 10, &oids));
   EXPECT_GT(db->engine().wal().size_bytes(), 0u);
 
+  const Counter* checkpoints =
+      db->engine().metrics().GetCounter("storage.engine.checkpoints");
+  const uint64_t checkpoints_before = checkpoints->value();
   ASSERT_OK(db->engine().FuzzyCheckpoint());
   EXPECT_EQ(db->engine().wal().size_bytes(), 0u);
-  EXPECT_GE(db->engine().stats().checkpoints, 1u);
+  EXPECT_GE(checkpoints->value() - checkpoints_before, 1u);
   EXPECT_EQ(CountPresent(db.db.get(), oids), oids.size());
 
   db.Reopen();
@@ -274,6 +277,9 @@ TEST(FuzzyCheckpoint, BackgroundCheckpointerBoundsWal) {
   options.engine.checkpoint_wal_bytes = 32 << 10;
   TestDb db(options);
   ASSERT_OK(db->CreateCluster<Person>());
+  const Counter* checkpoints =
+      db->engine().metrics().GetCounter("storage.engine.checkpoints");
+  const uint64_t checkpoints_before = checkpoints->value();
 
   std::vector<Oid> oids;
   for (int i = 0; i < 60; i++) {
@@ -283,11 +289,11 @@ TEST(FuzzyCheckpoint, BackgroundCheckpointerBoundsWal) {
   // have fired at least once. Give the async thread a bounded grace period.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (db->engine().stats().checkpoints == 0 &&
+  while (checkpoints->value() == checkpoints_before &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_GE(db->engine().stats().checkpoints, 1u);
+  EXPECT_GE(checkpoints->value() - checkpoints_before, 1u);
 
   db.CrashAndReopen(options);
   EXPECT_EQ(CountPresent(db.db.get(), oids), oids.size());

@@ -249,7 +249,7 @@ TEST(GroupCommitTest, LeaderFsyncFailureFailsEveryFollower) {
     EXPECT_TRUE(results[t].IsIOError())
         << "thread " << t << ": " << results[t].ToString();
   }
-  EXPECT_EQ(engine->stats().commit_failures,
+  EXPECT_EQ(metrics.GetCounter("storage.engine.commit_failures")->value(),
             static_cast<uint64_t>(kThreads));
   EXPECT_GE(metrics.GetCounter("storage.wal.fsync_errors")->value(), 1u);
 
@@ -328,7 +328,7 @@ TEST(GroupCommitTest, DependentCommitAbortsAfterLeaderFsyncFailure) {
   // transaction.
   Status b_result = engine->CommitTxn(txn_b.value());
   EXPECT_TRUE(b_result.IsIOError()) << b_result.ToString();
-  EXPECT_EQ(engine->stats().commit_failures, 2u);
+  EXPECT_EQ(metrics.GetCounter("storage.engine.commit_failures")->value(), 2u);
 
   // Neither value survives a crash.
   engine->SimulateCrash();
@@ -378,13 +378,14 @@ TEST(ShardedPoolTest, CapacityIsEnforcedAcrossShards) {
   bool created;
   ASSERT_OK(Pager::Open(dir.file("db"), &pager, &created));
   // An uneven split (37 over 4 shards) still caches at most 37 pages.
-  BufferPool pool(pager.get(), 37, nullptr, 4);
+  MetricsRegistry metrics;
+  BufferPool pool(pager.get(), 37, &metrics, 4);
   for (PageId id = 1; id <= 200; id++) {
     PageHandle handle;
     ASSERT_OK(pool.FetchHandle(id, &handle));
   }
   EXPECT_LE(pool.size(), 37u);
-  EXPECT_GT(pool.stats().evictions, 0u);
+  EXPECT_GT(metrics.GetCounter("storage.pool.evictions")->value(), 0u);
 }
 
 TEST(ShardedPoolTest, ConcurrentReadersSeeCommittedStamps) {

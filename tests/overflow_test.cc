@@ -64,9 +64,11 @@ TEST_F(OverflowTest, FreeChainReturnsPages) {
   const std::string data(20 * overflow::kOverflowPayload, 'q');
   PageId first;
   ASSERT_OK(overflow::WriteChain(engine_.get(), Slice(data), &first));
-  const uint64_t freed_before = engine_->stats().pages_freed;
+  const Counter* freed =
+      engine_->metrics().GetCounter("storage.engine.pages_freed");
+  const uint64_t freed_before = freed->value();
   ASSERT_OK(overflow::FreeChain(engine_.get(), first));
-  EXPECT_EQ(engine_->stats().pages_freed - freed_before, 20u);
+  EXPECT_EQ(freed->value() - freed_before, 20u);
   // Freed pages get reused by the next chain: the file does not grow.
   auto count_before = engine_->ReadSuperU32(SuperblockLayout::kPageCountOffset);
   ASSERT_TRUE(count_before.ok());

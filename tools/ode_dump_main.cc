@@ -62,12 +62,13 @@ int main(int argc, char** argv) {
            t.perpetual ? " [perpetual]" : "", t.params.size());
   }
 
-  const auto& pool = db->engine().buffer_pool().stats();
+  const auto snap = db->engine().metrics().TakeSnapshot();
+  auto count = [&snap](const char* name) {
+    return static_cast<unsigned long long>(snap.counter(name));
+  };
   printf("\nbuffer pool: hits %llu misses %llu evictions %llu flushes %llu\n",
-         static_cast<unsigned long long>(pool.hits),
-         static_cast<unsigned long long>(pool.misses),
-         static_cast<unsigned long long>(pool.evictions),
-         static_cast<unsigned long long>(pool.flushes));
+         count("storage.pool.hits"), count("storage.pool.misses"),
+         count("storage.pool.evictions"), count("storage.pool.flushes"));
   s = db->Close();
   if (!s.ok()) {
     fprintf(stderr, "ode_dump: close: %s\n", s.ToString().c_str());

@@ -216,8 +216,11 @@ Status CmdObject(Database& db, ClusterId cluster, LocalOid local) {
 }
 
 Status CmdStats(Database& db) {
-  const auto& engine_stats = db.engine().stats();
   const auto& pool = db.engine().buffer_pool();
+  const auto snap = db.engine().metrics().TakeSnapshot();
+  auto count = [&snap](const char* name) {
+    return static_cast<unsigned long long>(snap.counter(name));
+  };
   auto page_count =
       db.engine().ReadSuperU32(ode::SuperblockLayout::kPageCountOffset);
   printf("file pages        : %u (%u KiB)\n",
@@ -225,42 +228,32 @@ Status CmdStats(Database& db) {
          page_count.ok() ? page_count.value() * 4 : 0);
   printf("wal bytes         : %llu\n",
          static_cast<unsigned long long>(db.engine().wal().size_bytes()));
-  printf("txns committed    : %llu\n",
-         static_cast<unsigned long long>(engine_stats.txns_committed));
-  printf("txns aborted      : %llu\n",
-         static_cast<unsigned long long>(engine_stats.txns_aborted));
+  printf("txns committed    : %llu\n", count("storage.engine.txn_commits"));
+  printf("txns aborted      : %llu\n", count("storage.engine.txn_aborts"));
   printf("pages alloc/freed : %llu / %llu\n",
-         static_cast<unsigned long long>(engine_stats.pages_allocated),
-         static_cast<unsigned long long>(engine_stats.pages_freed));
+         count("storage.engine.pages_allocated"),
+         count("storage.engine.pages_freed"));
   printf("pool size/cap     : %zu / %zu frames (%zu shards)\n", pool.size(),
          pool.capacity(), pool.shard_count());
-  printf("pool hits/misses  : %llu / %llu\n",
-         static_cast<unsigned long long>(pool.stats().hits),
-         static_cast<unsigned long long>(pool.stats().misses));
-  const auto snap = db.engine().metrics().TakeSnapshot();
+  printf("pool hits/misses  : %llu / %llu\n", count("storage.pool.hits"),
+         count("storage.pool.misses"));
   // Prefetch vs demand: how much of the pool's disk traffic came in through
   // batched reads (storage.readbatch.*) instead of one-page demand misses.
-  const uint64_t prefetch_loads = snap.counter("storage.pool.prefetch_loads");
+  const unsigned long long prefetch_loads =
+      count("storage.pool.prefetch_loads");
   if (prefetch_loads > 0) {
     printf("pool prefetch     : %llu loaded / %llu already resident "
            "(%llu preadv batches)\n",
-           static_cast<unsigned long long>(prefetch_loads),
-           static_cast<unsigned long long>(
-               snap.counter("storage.pool.prefetch_hits")),
-           static_cast<unsigned long long>(
-               snap.counter("storage.readbatch.batches")));
+           prefetch_loads, count("storage.pool.prefetch_hits"),
+           count("storage.readbatch.batches"));
   }
-  const uint64_t checkpoints = engine_stats.checkpoints;
+  const unsigned long long checkpoints = count("storage.engine.checkpoints");
   if (checkpoints > 0) {
     printf("checkpoints       : %llu (%llu fuzzy, %llu deferred, "
            "%llu pages written behind)\n",
-           static_cast<unsigned long long>(checkpoints),
-           static_cast<unsigned long long>(
-               snap.counter("storage.checkpoint.fuzzy")),
-           static_cast<unsigned long long>(
-               snap.counter("storage.checkpoint.deferred")),
-           static_cast<unsigned long long>(
-               snap.counter("storage.checkpoint.write_behind_pages")));
+           checkpoints, count("storage.checkpoint.fuzzy"),
+           count("storage.checkpoint.deferred"),
+           count("storage.checkpoint.write_behind_pages"));
   }
   const uint64_t gc_fsyncs = snap.counter("storage.wal.group_commit.fsyncs");
   const uint64_t gc_commits = snap.counter("storage.wal.group_commit.commits");
