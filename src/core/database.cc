@@ -65,6 +65,8 @@ Database::Database(const DatabaseOptions& options,
   core_metrics_.oid_list_scans = m.GetCounter("query.oid_list_scans");
   core_metrics_.rows_scanned = m.GetCounter("query.rows_scanned");
   core_metrics_.rows_returned = m.GetCounter("query.rows_returned");
+  core_metrics_.pool_fetches_per_row =
+      m.GetHistogram("query.pool_fetches_per_row");
   core_metrics_.parallel_scans = m.GetCounter("query.parallel.scans");
   core_metrics_.parallel_morsels = m.GetCounter("query.parallel.morsels");
   core_metrics_.parallel_fallbacks = m.GetCounter("query.parallel.fallbacks");

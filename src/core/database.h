@@ -242,6 +242,9 @@ class Database {
     Counter* oid_list_scans;         ///< query.oid_list_scans — OverOids runs
     Counter* rows_scanned;           ///< query.rows_scanned
     Counter* rows_returned;          ///< query.rows_returned
+    Histogram* pool_fetches_per_row; ///< query.pool_fetches_per_row — pool
+                                     ///< fetches per row scanned, one sample
+                                     ///< per ForAll execution
     Counter* parallel_scans;         ///< query.parallel.scans — ForAll runs
                                      ///< that executed the morsel-parallel
                                      ///< scan path

@@ -48,6 +48,9 @@ class ForAll {
     size_t rows_scanned = 0;      ///< objects deserialized and tested
     size_t rows_returned = 0;     ///< objects passing every predicate
     size_t workers = 0;           ///< pool workers used (0 = serial)
+    /// Buffer-pool fetches (hits and misses) made by the loop itself, on
+    /// the coordinator and every worker; Do/Each bodies are not counted.
+    size_t pool_fetches = 0;
 
     std::string ToString() const {
       std::string out = access_path;
@@ -59,6 +62,7 @@ class ForAll {
       }
       out += " rows_scanned=" + std::to_string(rows_scanned);
       out += " rows_returned=" + std::to_string(rows_returned);
+      out += " pool_fetches=" + std::to_string(pool_fetches);
       return out;
     }
   };
@@ -154,10 +158,12 @@ class ForAll {
       const std::function<Status(A&, Ref<T>, const T&)>& step) {
     stats_ = ExecStats{};
     stats_.access_path = "scan";
+    executed_ = true;
     if (!WillRunParallel()) {
       return Status::InvalidArgument(
           "ParallelMorsels requires an eligible Parallel() scan");
     }
+    const uint64_t fetches_at_start = BufferPool::ThreadFetches();
     Database& db = txn_->db();
     QueryPool* pool = db.query_pool();
     std::vector<ClusterId> clusters;
@@ -202,6 +208,7 @@ class ForAll {
       std::atomic<size_t> cursor{0};
       std::vector<ExecStats> partials(workers);
       ODE_RETURN_IF_ERROR(pool->Run(workers, [&](size_t w) -> Status {
+        const uint64_t worker_fetches_at_start = BufferPool::ThreadFetches();
         // A fresh snapshot transaction per worker, joined at the
         // coordinator's cut: pool threads have no transaction bound, and
         // every read below resolves exactly as the coordinator's would.
@@ -216,17 +223,21 @@ class ForAll {
           if (!ws.ok()) break;
         }
         Status closed = ws.ok() ? wt->Commit() : wt->Abort();
+        partials[w].pool_fetches =
+            BufferPool::ThreadFetches() - worker_fetches_at_start;
         return ws.ok() ? closed : ws;
       }));
       for (const ExecStats& p : partials) {
         stats_.rows_scanned += p.rows_scanned;
         stats_.rows_returned += p.rows_returned;
+        stats_.pool_fetches += p.pool_fetches;
       }
       stats_.workers = workers;
       const Database::CoreMetrics& m = db.core_metrics();
       m.parallel_scans->Add();
       m.parallel_morsels->Add(morsels.size());
     }
+    stats_.pool_fetches += BufferPool::ThreadFetches() - fetches_at_start;
     FlushStats();
     return slots;
   }
@@ -283,8 +294,12 @@ class ForAll {
     return out;
   }
 
-  /// EXPLAIN spelling of Describe().
-  std::string Explain() const { return Describe(); }
+  /// EXPLAIN: Describe()'s plan, followed once the loop has run by what the
+  /// last execution did (exec_stats().ToString()).
+  std::string Explain() const {
+    if (!executed_) return Describe();
+    return Describe() + " | " + stats_.ToString();
+  }
 
   /// Counters from the most recent execution (Do/Each/Collect/Count).
   const ExecStats& exec_stats() const { return stats_; }
@@ -311,37 +326,35 @@ class ForAll {
   static constexpr uint32_t kMorselEntries = 4 * 127;
 
   /// One worker's pass over entry range [lo, hi) of `cluster`, inside the
-  /// worker's own joined-snapshot transaction `wt`: enumerates the heads,
-  /// prefetches their record pages in one batch, then reads, filters and
-  /// folds the snapshot-visible objects into `acc`.
+  /// worker's own joined-snapshot transaction `wt`: walks the morsel's entry
+  /// pages once for its heads and their entries, prefetches the record
+  /// pages they point at in one batch, then reads, filters and folds the
+  /// snapshot-visible objects into `acc`. The objects read are released
+  /// once folded, so a worker caches one morsel's objects at a time.
   template <typename A>
   Status ScanMorsel(Transaction& wt, ClusterId cluster, LocalOid lo,
                     LocalOid hi, A* acc, ExecStats* partial,
                     const std::function<Status(A&, Ref<T>, const T&)>& step) {
     Database& db = txn_->db();
-    std::vector<LocalOid> heads;
-    LocalOid at = lo;
-    while (true) {
-      LocalOid local;
-      bool found = false;
-      ODE_RETURN_IF_ERROR(wt.NextInCluster(cluster, at, &local, &found));
-      if (!found || local >= hi) break;
-      heads.push_back(local);
-      at = local + 1;
-    }
-    if (heads.empty()) return Status::OK();
-    // Read-ahead the record pages the head entries point at (a snapshot may
-    // resolve some objects to older versions on other pages; those fall
-    // back to demand reads). Advisory, like the entry-page prefetch.
     ODE_ASSIGN_OR_RETURN(PageId root, db.TableRootOf(cluster));
+    // Tombstoned heads come along, as in a snapshot NextInCluster: whether
+    // an object is visible at the cut is the read's decision below.
+    std::vector<ObjectTable::Head> heads;
+    ODE_RETURN_IF_ERROR(db.store().ScanHeads(
+        root, lo, hi, /*include_tombstones=*/true, &heads));
+    if (heads.empty()) return Status::OK();
+    // Read-ahead the record pages the head entries point at, each run of
+    // heads on one page listed once (a snapshot may resolve some objects to
+    // older versions on other pages; those fall back to demand reads).
+    // Advisory, like the entry-page prefetch.
     std::vector<PageId> data_pages;
-    data_pages.reserve(heads.size());
-    for (LocalOid local : heads) {
-      ObjectTable::Entry entry;
-      Status info = db.store().GetInfo(root, local, &entry);
-      if (!info.ok()) continue;  // raced/odd entry: the read below decides
-      if (entry.page != kInvalidPageId && !entry.overflow() &&
-          !entry.tombstone()) {
+    for (const ObjectTable::Head& head : heads) {
+      const ObjectTable::Entry& entry = head.entry;
+      if (entry.page == kInvalidPageId || entry.overflow() ||
+          entry.tombstone()) {
+        continue;
+      }
+      if (data_pages.empty() || data_pages.back() != entry.page) {
         data_pages.push_back(entry.page);
       }
     }
@@ -350,8 +363,8 @@ class ForAll {
                                                       data_pages.size()),
                    "parallel_scan_prefetch");
     }
-    for (LocalOid local : heads) {
-      Ref<T> ref(&db, Oid{cluster, local});
+    for (const ObjectTable::Head& head : heads) {
+      Ref<T> ref(&db, Oid{cluster, head.local});
       Result<const T*> read = wt.Read(ref);
       if (!read.ok()) {
         // Same rule as the serial snapshot scan: heads not visible at the
@@ -364,6 +377,7 @@ class ForAll {
       partial->rows_returned++;
       ODE_RETURN_IF_ERROR(step(*acc, ref, *read.value()));
     }
+    wt.ReleaseCachedReads();
     return Status::OK();
   }
 
@@ -401,6 +415,19 @@ class ForAll {
   /// objects created by `body` are visited too (§3.2).
   Status Stream(const std::function<Status(Ref<T>)>& body) {
     stats_ = ExecStats{};
+    executed_ = true;
+    const uint64_t fetches_at_start = BufferPool::ThreadFetches();
+    uint64_t body_fetches = 0;
+    // Runs the body with its own page fetches kept out of pool_fetches.
+    auto run_body = [&](Ref<T> ref) -> Status {
+      const uint64_t before = BufferPool::ThreadFetches();
+      Status s = body(ref);
+      body_fetches += BufferPool::ThreadFetches() - before;
+      return s;
+    };
+    auto fetches_so_far = [&]() -> size_t {
+      return BufferPool::ThreadFetches() - fetches_at_start - body_fetches;
+    };
     if (parallel_ && !WillRunParallel()) {
       txn_->db().core_metrics().parallel_fallbacks->Add();
     }
@@ -426,8 +453,9 @@ class ForAll {
         stats_.rows_scanned++;
         if (!Matches(*obj)) continue;
         stats_.rows_returned++;
-        ODE_RETURN_IF_ERROR(body(ref));
+        ODE_RETURN_IF_ERROR(run_body(ref));
       }
+      stats_.pool_fetches = fetches_so_far();
       FlushStats();
       return Status::OK();
     }
@@ -482,10 +510,11 @@ class ForAll {
           stats_.rows_scanned++;
           if (!Matches(*obj)) continue;
           stats_.rows_returned++;
-          ODE_RETURN_IF_ERROR(body(ref));
+          ODE_RETURN_IF_ERROR(run_body(ref));
         }
       }
     }
+    stats_.pool_fetches = fetches_so_far();
     FlushStats();
     return Status::OK();
   }
@@ -502,6 +531,10 @@ class ForAll {
     }
     m.rows_scanned->Add(stats_.rows_scanned);
     m.rows_returned->Add(stats_.rows_returned);
+    if (stats_.rows_scanned > 0) {
+      m.pool_fetches_per_row->Add(static_cast<double>(stats_.pool_fetches) /
+                                  static_cast<double>(stats_.rows_scanned));
+    }
   }
 
   Status ResolveOidList(std::vector<Oid>* oids) const {
@@ -591,6 +624,7 @@ class ForAll {
   bool use_explicit_ = false;
   std::vector<Oid> explicit_oids_;
   ExecStats stats_;
+  bool executed_ = false;  ///< An execution has run; stats_ holds its counters.
 };
 
 }  // namespace ode

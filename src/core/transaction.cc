@@ -254,6 +254,18 @@ void Transaction::MaybeEvictCache() {
   }
 }
 
+void Transaction::ReleaseCachedReads() {
+  for (auto it = cache_.begin(); it != cache_.end();) {
+    Cached& c = *it->second;
+    if (c.dirty || c.is_new || c.deleted || c.old_keys_captured) {
+      ++it;
+      continue;
+    }
+    ForgetLru(&c);
+    it = cache_.erase(it);
+  }
+}
+
 Status Transaction::LoadObject(Oid oid, uint32_t vnum, Cached** out) {
   const CacheKey key{oid.Pack(), vnum};
   auto it = cache_.find(key);

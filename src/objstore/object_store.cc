@@ -471,6 +471,13 @@ Status ObjectStore::NextHead(PageId table_root, LocalOid start,
   return table.NextHead(start, local, found, include_tombstones);
 }
 
+Status ObjectStore::ScanHeads(PageId table_root, LocalOid lo, LocalOid hi,
+                              bool include_tombstones,
+                              std::vector<ObjectTable::Head>* out) const {
+  ObjectTable table(engine_, table_root);
+  return table.ScanHeads(lo, hi, include_tombstones, out);
+}
+
 Result<uint32_t> ObjectStore::NumEntries(PageId table_root) const {
   ObjectTable table(engine_, table_root);
   return table.NumEntries();

@@ -134,6 +134,14 @@ class ObjectStore {
   Status NextHead(PageId table_root, LocalOid start, LocalOid* local,
                   bool* found, bool include_tombstones = false) const;
 
+  /// The heads in [lo, hi) with their entries, in one pass over the entry
+  /// pages (ObjectTable::ScanHeads). Parallel snapshot scans pass
+  /// `include_tombstones` and resolve visibility per object, as with
+  /// NextHead.
+  Status ScanHeads(PageId table_root, LocalOid lo, LocalOid hi,
+                   bool include_tombstones,
+                   std::vector<ObjectTable::Head>* out) const;
+
   /// High-water mark of entry indexes for the cluster.
   Result<uint32_t> NumEntries(PageId table_root) const;
 

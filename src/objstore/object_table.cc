@@ -271,6 +271,60 @@ Status ObjectTable::NextHead(LocalOid start, LocalOid* local, bool* found,
   return Status::OK();
 }
 
+Status ObjectTable::ScanHeads(LocalOid lo, LocalOid hi,
+                               bool include_tombstones,
+                               std::vector<Head>* out) const {
+  out->clear();
+  // Walk the root chain once, collecting the entry pages that cover
+  // [lo, hi); the first root also carries the high-water mark.
+  std::vector<PageId> pages;
+  const uint32_t first_page = lo / kEntriesPerPage;
+  uint32_t last_page = 0;
+  uint32_t base = 0;  // page index of the current root's first dir slot
+  for (PageId root = root_; root != kInvalidPageId; base += kDirCap) {
+    PageHandle handle;
+    ODE_RETURN_IF_ERROR(engine_->GetPageRead(root, &handle));
+    if (root == root_) {
+      hi = std::min<LocalOid>(hi, DecodeFixed32(handle.data() + kNumEntriesOff));
+      if (lo >= hi) return Status::OK();
+      last_page = (hi - 1) / kEntriesPerPage;
+    }
+    const uint32_t dir_count = DecodeFixed32(handle.data() + kDirCountOff);
+    for (uint32_t p = std::max(first_page, base);
+         p <= last_page && p - base < kDirCap; p++) {
+      if (p - base >= dir_count) {
+        return Status::NotFound("object-table entry out of range");
+      }
+      pages.push_back(DecodeFixed32(handle.data() + kDirStartOff +
+                                    4 * (p - base)));
+    }
+    if (base + kDirCap > last_page) break;
+    root = DecodeFixed32(handle.data() + kNextRootOff);
+  }
+  if (pages.size() != last_page - first_page + 1) {
+    return Status::NotFound("object-table page out of range");
+  }
+  for (uint32_t k = 0; k < pages.size(); k++) {
+    PageHandle handle;
+    ODE_RETURN_IF_ERROR(engine_->GetPageRead(pages[k], &handle));
+    const uint32_t page_first = (first_page + k) * kEntriesPerPage;
+    const uint32_t end = std::min<uint32_t>(page_first + kEntriesPerPage, hi);
+    for (LocalOid j = std::max<LocalOid>(lo, page_first); j < end; j++) {
+      const char* src =
+          handle.data() + kEntryStart + (j - page_first) * kEntrySize;
+      const uint16_t flags = DecodeFixed16(src + 6);
+      if ((flags & kFlagAllocated) && !(flags & kFlagVersion) &&
+          (include_tombstones || !(flags & kFlagTombstone))) {
+        Head head;
+        head.local = j;
+        DecodeEntry(src, &head.entry);
+        out->push_back(head);
+      }
+    }
+  }
+  return Status::OK();
+}
+
 Status ObjectTable::ListStructurePages(std::vector<PageId>* root_pages,
                                        std::vector<PageId>* entry_pages) const {
   root_pages->clear();

@@ -90,6 +90,20 @@ class ObjectTable {
   Status NextHead(LocalOid start, LocalOid* local, bool* found,
                   bool include_tombstones = false) const;
 
+  /// One head found by ScanHeads, with its decoded entry.
+  struct Head {
+    LocalOid local = kInvalidLocalOid;
+    Entry entry;
+  };
+
+  /// Every head NextHead would return in [lo, hi), in index order, each
+  /// with the entry GetEntry would decode — in one pass: one directory walk
+  /// and one fetch per entry page, where a NextHead + GetEntry loop pays a
+  /// directory walk and two entry-page fetches per head. Parallel scans run
+  /// it once per morsel.
+  Status ScanHeads(LocalOid lo, LocalOid hi, bool include_tombstones,
+                   std::vector<Head>* out) const;
+
   /// The page currently targeted for record inserts (kInvalidPageId if none
   /// yet); maintained by the ObjectStore.
   Result<PageId> GetCurrentDataPage() const;

@@ -14,6 +14,9 @@ std::shared_ptr<char[]> NewPageBuffer() {
   return std::shared_ptr<char[]>(new char[kPageSize]());
 }
 
+/// FetchHandle calls by this thread (BufferPool::ThreadFetches).
+thread_local uint64_t t_fetches = 0;
+
 /// Largest power of two <= max(1, n).
 size_t FloorPow2(size_t n) {
   size_t p = 1;
@@ -75,7 +78,7 @@ Status BufferPool::FetchLocked(Shard& shard, PageId id, Frame** frame) {
       f->prefetched = false;
       m_prefetch_hits_->Add();
     }
-    shard.lru.splice(shard.lru.begin(), shard.lru, f->lru_pos);  // to MRU
+    if (!f->referenced) f->referenced = true;
     *frame = f;
     return Status::OK();
   }
@@ -84,15 +87,15 @@ Status BufferPool::FetchLocked(Shard& shard, PageId id, Frame** frame) {
   auto f = std::make_unique<Frame>();
   f->id = id;
   f->data = NewPageBuffer();
-  // Read before the frame is linked into frames/lru: a failed read must
+  // Read before the frame is linked into frames/clock: a failed read must
   // not leave a half-initialized frame behind.
   Status read = pager_->ReadPage(id, f->data.get());
   if (!read.ok()) {
     m_read_errors_->Add();
     return read;
   }
-  shard.lru.push_front(id);
-  f->lru_pos = shard.lru.begin();
+  shard.clock.push_front(f.get());
+  f->clock_pos = shard.clock.begin();
   Frame* raw = f.get();
   shard.frames.emplace(id, std::move(f));
   m_frames_->Add();
@@ -100,7 +103,10 @@ Status BufferPool::FetchLocked(Shard& shard, PageId id, Frame** frame) {
   return Status::OK();
 }
 
+uint64_t BufferPool::ThreadFetches() { return t_fetches; }
+
 Status BufferPool::FetchHandle(PageId id, PageHandle* handle) {
+  t_fetches++;
   Shard& shard = ShardOf(id);
   MutexLock lock(shard.mu);
   Frame* f = nullptr;
@@ -120,7 +126,7 @@ void BufferPool::Install(PageId id, const char* data) {
   Frame* f;
   if (it != shard.frames.end()) {
     f = it->second.get();
-    shard.lru.splice(shard.lru.begin(), shard.lru, f->lru_pos);
+    f->referenced = true;
   } else {
     // The commit behind this Install is already durable in the WAL; if
     // evicting to make room fails to flush, the shard grows instead — the
@@ -131,13 +137,14 @@ void BufferPool::Install(PageId id, const char* data) {
         ODE_LOG(kWarn) << "pool: eviction flush failed during Install ("
                        << s.ToString() << "); growing instead";
         m_grows_->Add();
+        grown_.store(true, std::memory_order_relaxed);
       }
     }
     auto owned = std::make_unique<Frame>();
     owned->id = id;
     f = owned.get();
-    shard.lru.push_front(id);
-    f->lru_pos = shard.lru.begin();
+    shard.clock.push_front(f);
+    f->clock_pos = shard.clock.begin();
     shard.frames.emplace(id, std::move(owned));
     m_frames_->Add();
   }
@@ -150,25 +157,35 @@ void BufferPool::Install(PageId id, const char* data) {
 }
 
 Status BufferPool::Prefetch(const PageId* ids, size_t count) {
-  // Pass 1: drop the ids already resident.
-  std::vector<PageId> missing;
+  // Pass 1: drop the ids already resident, noting each missing id's shard
+  // flush count.
+  struct Missing {
+    PageId id;
+    uint64_t flushes;
+  };
+  std::vector<Missing> missing;
   missing.reserve(count);
   for (size_t i = 0; i < count; i++) {
     Shard& shard = ShardOf(ids[i]);
     MutexLock lock(shard.mu);
     if (shard.frames.find(ids[i]) == shard.frames.end()) {
-      missing.push_back(ids[i]);
+      missing.push_back(Missing{ids[i], shard.flushes});
     }
   }
   if (missing.empty()) return Status::OK();
-  std::sort(missing.begin(), missing.end());
-  missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
+  auto by_id = [](const Missing& a, const Missing& b) { return a.id < b.id; };
+  std::sort(missing.begin(), missing.end(), by_id);
+  missing.erase(std::unique(missing.begin(), missing.end(),
+                            [](const Missing& a, const Missing& b) {
+                              return a.id == b.id;
+                            }),
+                missing.end());
   // Pass 2: read each contiguous run with one batched call, outside every
-  // shard mutex; pass 3 installs the clean frames.
+  // shard latch; pass 3 installs the clean frames.
   size_t i = 0;
   while (i < missing.size()) {
     size_t j = i + 1;
-    while (j < missing.size() && missing[j] == missing[j - 1] + 1) j++;
+    while (j < missing.size() && missing[j].id == missing[j - 1].id + 1) j++;
     const uint32_t run = static_cast<uint32_t>(j - i);
     std::vector<std::shared_ptr<char[]>> bufs(run);
     std::vector<char*> raw(run);
@@ -176,24 +193,28 @@ Status BufferPool::Prefetch(const PageId* ids, size_t count) {
       bufs[k] = NewPageBuffer();
       raw[k] = bufs[k].get();
     }
-    Status read = pager_->ReadPages(missing[i], run, raw.data());
+    Status read = pager_->ReadPages(missing[i].id, run, raw.data());
     if (!read.ok()) {
       m_read_errors_->Add();
       return read;
     }
     for (uint32_t k = 0; k < run; k++) {
-      const PageId id = missing[i + k];
+      const PageId id = missing[i + k].id;
       Shard& shard = ShardOf(id);
       MutexLock lock(shard.mu);
       if (shard.frames.find(id) != shard.frames.end()) continue;
+      // A flush in this shard since pass 1 may have written a newer image
+      // of `id` (Installed, then evicted) after, or during, the read above:
+      // the bytes read could be stale, so leave the page to a demand fetch.
+      if (shard.flushes != missing[i + k].flushes) continue;
       Status room = EnsureRoom(shard);
       if (!room.ok()) continue;  // eviction flush failed; demand path retries
       auto f = std::make_unique<Frame>();
       f->id = id;
       f->data = std::move(bufs[k]);
       f->prefetched = true;
-      shard.lru.push_front(id);
-      f->lru_pos = shard.lru.begin();
+      shard.clock.push_front(f.get());
+      f->clock_pos = shard.clock.begin();
       shard.frames.emplace(id, std::move(f));
       m_frames_->Add();
       m_prefetch_loads_->Add();
@@ -204,11 +225,16 @@ Status BufferPool::Prefetch(const PageId* ids, size_t count) {
 }
 
 Status BufferPool::EvictOne(Shard& shard) {
-  // The cold end of the recency list is the victim.
-  assert(!shard.lru.empty());
-  auto found = shard.frames.find(shard.lru.back());
-  assert(found != shard.frames.end());
-  Frame* f = found->second.get();
+  // Second chance: a frame referenced since the hand last passed it has its
+  // bit cleared and goes back to the front. Nothing sets bits while the
+  // latch is held, so the sweep ends within one pass over the ring.
+  assert(!shard.clock.empty());
+  Frame* f = shard.clock.back();
+  while (f->referenced) {
+    f->referenced = false;
+    shard.clock.splice(shard.clock.begin(), shard.clock, f->clock_pos);
+    f = shard.clock.back();
+  }
   ODE_RETURN_IF_ERROR(FlushFrameLocked(shard, f));
   m_evictions_->Add();
   RemoveFrame(shard, f);
@@ -216,7 +242,7 @@ Status BufferPool::EvictOne(Shard& shard) {
 }
 
 void BufferPool::RemoveFrame(Shard& shard, Frame* frame) {
-  shard.lru.erase(frame->lru_pos);
+  shard.clock.erase(frame->clock_pos);
   shard.frames.erase(frame->id);
   m_frames_->Sub();
 }
@@ -227,18 +253,25 @@ Status BufferPool::EnsureRoom(Shard& shard) {
 }
 
 Status BufferPool::ShrinkToCapacity() {
+  // Only Install() grows a shard past its capacity, and it raises grown_
+  // when it does; a grow racing this sweep raises it again for the next.
+  if (!grown_.exchange(false, std::memory_order_relaxed)) return Status::OK();
   for (auto& shard : shards_) {
     MutexLock lock(shard->mu);
     while (shard->frames.size() > shard->capacity) {
-      ODE_RETURN_IF_ERROR(EvictOne(*shard));
+      Status s = EvictOne(*shard);
+      if (!s.ok()) {
+        grown_.store(true, std::memory_order_relaxed);  // retry next commit
+        return s;
+      }
     }
   }
   return Status::OK();
 }
 
 Status BufferPool::FlushFrameLocked(Shard& shard, Frame* frame) {
-  (void)shard;
   if (!frame->dirty) return Status::OK();
+  shard.flushes++;
   ODE_RETURN_IF_ERROR(pager_->WritePage(frame->id, frame->data.get()));
   frame->dirty = false;
   m_flushes_->Add();

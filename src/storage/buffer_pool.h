@@ -1,6 +1,7 @@
 #ifndef ODE_STORAGE_BUFFER_POOL_H_
 #define ODE_STORAGE_BUFFER_POOL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -16,8 +17,9 @@
 namespace ode {
 
 /// A fixed-capacity (growable under pressure) page cache over the Pager with
-/// true LRU eviction (recency list maintained on every fetch; victims found
-/// from the cold end).
+/// CLOCK (second-chance) eviction: a hit only sets its frame's reference
+/// bit, and the eviction sweep gives every referenced frame one more round
+/// before it becomes a victim.
 ///
 /// Concurrency contract (see docs/CONCURRENCY.md): the pool caches ONLY
 /// committed page images. Transactions never mutate pool frames in place —
@@ -29,11 +31,13 @@ namespace ode {
 ///
 /// Sharding (docs/CONCURRENCY.md "Buffer-pool sharding"): the pool is
 /// partitioned into 2^k shards keyed by a Fibonacci hash of the page id.
-/// Each shard owns its own mutex, frame map, LRU list and slice of the
+/// Each shard owns its own latch, frame map, clock ring and slice of the
 /// capacity, so concurrent readers of unrelated pages never contend on one
-/// lock. LRU is therefore per-shard (approximate globally — the standard
-/// trade, same as the lock manager's 16-way shard split); capacity and the
-/// `storage.pool.*` stats aggregate across shards.
+/// lock. Replacement is therefore per-shard (approximate globally — the
+/// standard trade, same as the lock manager's 16-way shard split); capacity
+/// and the `storage.pool.*` stats aggregate across shards. A hit writes
+/// nothing shared beyond its shard latch: no list splice (the reference bit
+/// is set only when clear) and a striped hit counter.
 class BufferPool {
  public:
   /// `metrics` receives the `storage.pool.*` counters (docs/OBSERVABILITY.md);
@@ -59,11 +63,17 @@ class BufferPool {
   /// frame is evicted.
   Status FetchHandle(PageId id, class PageHandle* handle);
 
+  /// FetchHandle calls (hits and misses, over every pool) made by the
+  /// calling thread so far. ForAll takes deltas of it around a scan to
+  /// report query.pool_fetches_per_row.
+  static uint64_t ThreadFetches();
+
   /// Publishes a committed page image: the frame (created on demand) gets a
   /// fresh buffer holding `data`, marked dirty, swapped in atomically under
-  /// the shard mutex. Never fails: if the shard is full and evicting its LRU
-  /// frame fails to flush, it grows instead (the commit this image belongs to
-  /// is already durable in the WAL — failure is not an option here).
+  /// the shard latch. Never fails: if the shard is full and evicting its
+  /// victim fails to flush, it grows instead (the commit this image belongs
+  /// to is already durable in the WAL — failure is not an option here) and
+  /// the next ShrinkToCapacity() gives the slack back.
   void Install(PageId id, const char* data);
 
   /// Read-ahead for cold scans: loads the not-yet-resident pages among `ids`
@@ -72,7 +82,9 @@ class BufferPool {
   /// read under the shard latch, which is exactly what this path avoids)
   /// and installs them as CLEAN frames. Ids already cached, or cached by a
   /// racing fetch between the read and the install, keep their frame (it is
-  /// at least as new as what was read). Never overwrites committed state:
+  /// at least as new as what was read). Ids whose shard wrote a frame back
+  /// during the read are not installed: the write-back may have put a newer
+  /// image on disk than the one read. Never overwrites committed state:
   /// prefetched frames are clean, so they can never be flushed over a newer
   /// Install()ed image.
   Status Prefetch(const PageId* ids, size_t count);
@@ -86,8 +98,10 @@ class BufferPool {
   /// tail this way).
   void Evict(PageId id);
 
-  /// Evicts LRU frames (flushing dirty ones) until every shard is back
-  /// within its capacity. Called after commit when Install() had to grow.
+  /// Evicts frames (flushing dirty ones) until every shard is back within
+  /// its capacity. The engine calls it after every write commit; it takes
+  /// no shard latch unless an Install() has grown a shard since the last
+  /// successful shrink.
   Status ShrinkToCapacity();
 
   size_t capacity() const { return capacity_; }
@@ -103,16 +117,25 @@ class BufferPool {
     /// fetch counts as a prefetch hit (storage.pool.prefetch_hits) and
     /// clears the flag.
     bool prefetched = false;
-    std::list<PageId>::iterator lru_pos;  ///< Position in the recency list.
+    /// CLOCK reference bit: set by a hit (only when clear, so repeated hits
+    /// leave the frame's line alone), cleared by the eviction sweep.
+    bool referenced = false;
+    std::list<Frame*>::iterator clock_pos;  ///< Position in the clock ring.
     /// Shared so outstanding PageHandles keep a swapped-out image alive.
     std::shared_ptr<char[]> data;
   };
 
   struct Shard {
-    mutable Mutex mu;  ///< Guards frames, lru, and frame fields.
+    /// Guards frames, clock, and frame fields. Held for a map probe and a
+    /// few stores, so it spins before sleeping (see AdaptiveMutex).
+    mutable AdaptiveMutex mu;
     std::unordered_map<PageId, std::unique_ptr<Frame>> frames GUARDED_BY(mu);
-    /// Recency order: front = most recently used, back = LRU victim side.
-    std::list<PageId> lru GUARDED_BY(mu);
+    /// Clock ring: new frames and second chances enter at the front; the
+    /// sweep's hand looks at the back.
+    std::list<Frame*> clock GUARDED_BY(mu);
+    /// Frame write-backs started in this shard; Prefetch compares it across
+    /// its unlatched read to detect a write-back that may have raced it.
+    uint64_t flushes GUARDED_BY(mu) = 0;
     size_t capacity = 0;  ///< This shard's slice of the total (immutable).
   };
 
@@ -127,8 +150,9 @@ class BufferPool {
   /// Makes room for one more frame if the shard is at capacity.
   Status EnsureRoom(Shard& shard) REQUIRES(shard.mu);
 
-  /// Evicts the shard's least-recently-used frame (flushing it if dirty).
-  /// The shard must not be empty.
+  /// Evicts the first frame the clock sweep finds with its reference bit
+  /// clear (flushing it if dirty); set bits are cleared on the way and
+  /// their frames move to the front. The shard must not be empty.
   Status EvictOne(Shard& shard) REQUIRES(shard.mu);
 
   Status FlushFrameLocked(Shard& shard, Frame* frame) REQUIRES(shard.mu);
@@ -140,6 +164,9 @@ class BufferPool {
   size_t capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;  ///< Power-of-two count.
   unsigned shard_shift_;  ///< 64 - log2(shards_.size()); selector shift.
+  /// Set when Install() grew a shard past its capacity; ShrinkToCapacity()
+  /// sweeps the shards only while it is set.
+  std::atomic<bool> grown_{false};
   // storage.pool.* instruments (docs/OBSERVABILITY.md).
   Counter* m_hits_;
   Counter* m_misses_;  ///< Demand reads (not prefetch loads).

@@ -487,7 +487,7 @@ Status StorageEngine::CommitTxn(
   // The transaction is committed; from here on nothing may turn that into
   // an error (the caller would wrongly conclude it aborted). Maintenance
   // failures (shrink, checkpoint) are logged — recovery can always redo the
-  // work from the log.
+  // work from the log. The shrink takes no latch unless an Install grew.
   Status maintenance = pool_->ShrinkToCapacity();
   if (maintenance.ok() &&
       wal_->size_bytes() >= options_.checkpoint_wal_bytes) {

@@ -28,7 +28,7 @@ struct EngineOptions {
   size_t buffer_pool_pages = 1024;  ///< 4 MiB of cache by default.
   /// Buffer-pool shard count (docs/CONCURRENCY.md "Buffer-pool sharding"):
   /// rounded down to a power of two and clamped to [1, min(64, pool pages)].
-  /// Each shard has its own mutex + LRU slice, so concurrent readers of
+  /// Each shard has its own latch + clock ring, so concurrent readers of
   /// unrelated pages do not contend. 8 covers typical core counts; raise it
   /// only if storage.pool contention shows up in profiles.
   size_t buffer_pool_shards = 8;

@@ -34,6 +34,11 @@ std::string JsonNumber(double v) {
 
 }  // namespace
 
+size_t Counter::NextStripe() {
+  static std::atomic<size_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) % kStripes;
+}
+
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;

@@ -14,17 +14,43 @@
 namespace ode {
 
 /// A monotonically increasing event count. Increments are relaxed atomic
-/// adds — cheap enough for per-page / per-row hot paths. Handed out by a
+/// adds into one of kStripes cache-line-sized stripes, picked per thread, so
+/// threads counting the same event (every pool hit, every snapshot read of
+/// a parallel scan) do not bounce one shared line between cores; value()
+/// sums the stripes and is exact once the adders are done. Handed out by a
 /// MetricsRegistry, which owns the storage; holders keep the raw pointer for
 /// the registry's lifetime.
 class Counter {
  public:
-  void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  void Add(uint64_t n = 1) {
+    stripes_[ThreadStripe()].value.fetch_add(n, std::memory_order_relaxed);
+  }
+  uint64_t value() const {
+    uint64_t sum = 0;
+    for (const Stripe& s : stripes_) {
+      sum += s.value.load(std::memory_order_relaxed);
+    }
+    return sum;
+  }
+  void Reset() {
+    for (Stripe& s : stripes_) s.value.store(0, std::memory_order_relaxed);
+  }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  static constexpr size_t kStripes = 8;
+  struct alignas(64) Stripe {
+    std::atomic<uint64_t> value{0};
+  };
+  /// This thread's stripe: threads take stripes round-robin on first use.
+  /// (Constant-initialized, so reading it needs no TLS init guard.)
+  static size_t ThreadStripe() {
+    thread_local size_t stripe = kStripes;
+    if (stripe == kStripes) [[unlikely]] stripe = NextStripe();
+    return stripe;
+  }
+  static size_t NextStripe();
+
+  Stripe stripes_[kStripes];
 };
 
 /// A point-in-time level (pool frames, cache residents, WAL bytes). Same

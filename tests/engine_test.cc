@@ -426,6 +426,73 @@ TEST_F(EngineTest, FailedScrubWedgesEngineUntilCheckpoint) {
   engine_.reset();  // close while fenv (stack-local) is still alive
 }
 
+TEST_F(EngineTest, InstallGrowsOnFailedFlushAndNextCommitShrinks) {
+  FaultInjectionEnv fenv;
+  EngineOptions options = FastEngine();
+  options.env = &fenv;
+  options.buffer_pool_pages = 4;
+  options.buffer_pool_shards = 1;
+  Open(options);
+  std::vector<PageId> pages;
+  {
+    auto txn = engine_->BeginTxn();
+    ASSERT_TRUE(txn.ok());
+    for (uint32_t i = 0; i < 6; i++) {
+      PageId page;
+      PageHandle handle;
+      ASSERT_OK(engine_->AllocPage(&page, &handle));
+      EncodeFixed32(handle.mutable_data(), 0xABC00000u + i);
+      pages.push_back(page);
+    }
+    ASSERT_OK(engine_->CommitTxn(txn.value()));
+  }
+  auto committed = [&](PageId page) {
+    std::vector<char> image(kPageSize);
+    PageHandle handle;
+    EXPECT_OK(engine_->GetPageRead(page, &handle));
+    if (handle.valid()) memcpy(image.data(), handle.data(), kPageSize);
+    return image;
+  };
+  // Republish the committed images of four pages until they are the pool's
+  // only frames, all dirty (the commit path installs exactly such images).
+  const std::vector<char> fifth = committed(pages[4]);
+  BufferPool& pool = engine_->buffer_pool();
+  for (int round = 0; round < 3; round++) {
+    for (size_t i = 0; i < 4; i++) {
+      pool.Install(pages[i], committed(pages[i]).data());
+    }
+  }
+  ASSERT_EQ(pool.size(), 4u);
+  // With the device dead, installing a fifth page cannot write its dirty
+  // victim back, so the pool grows past capacity instead.
+  FaultInjectionEnv::FaultSpec spec;
+  spec.kind = FaultInjectionEnv::OpKind::kWrite;
+  spec.nth = 1;
+  fenv.ArmFault(spec);
+  pool.Install(pages[4], fifth.data());
+  EXPECT_TRUE(fenv.fault_fired());
+  EXPECT_EQ(Count("storage.pool.grows"), 1u);
+  EXPECT_EQ(pool.size(), 5u);
+  // Device back: the next commit's shrink returns the pool to capacity.
+  fenv.Disarm();
+  {
+    auto txn = engine_->BeginTxn();
+    ASSERT_TRUE(txn.ok());
+    PageHandle handle;
+    ASSERT_OK(engine_->GetPageWrite(pages[5], &handle));
+    EncodeFixed32(handle.mutable_data() + 4, 1);
+    handle.Release();
+    ASSERT_OK(engine_->CommitTxn(txn.value()));
+  }
+  EXPECT_EQ(pool.size(), 4u);
+  for (uint32_t i = 0; i < pages.size(); i++) {
+    PageHandle handle;
+    ASSERT_OK(engine_->GetPageRead(pages[i], &handle));
+    EXPECT_EQ(DecodeFixed32(handle.data()), 0xABC00000u + i);
+  }
+  engine_.reset();  // close while fenv (stack-local) is still alive
+}
+
 // --- BufferPool ----------------------------------------------------------------
 
 TEST(BufferPoolTest, FailedFetchLeavesPoolConsistent) {

@@ -155,6 +155,79 @@ TEST_F(ObjectStoreTest, ManyObjectsAcrossTablePages) {
   EXPECT_EQ(num.value(), static_cast<uint32_t>(kCount));
 }
 
+TEST_F(ObjectStoreTest, ScanHeadsMatchesNextHeadAndGetEntry) {
+  // Five entry pages (127 entries each) holding every kind of entry: live
+  // heads, tombstones, retained pre-update images and explicit versions.
+  const int kCount = 560;
+  std::vector<LocalOid> oids(kCount);
+  for (int i = 0; i < kCount; i++) {
+    ASSERT_OK(store_->Insert(root_, 1, Slice("obj" + std::to_string(i)),
+                             &oids[i]));
+  }
+  // Commit so the updates below retain their pre-images.
+  ASSERT_OK(engine_->CommitTxn(engine_->active_txn()));
+  ASSERT_TRUE(engine_->BeginTxn().ok());
+  for (int i = 0; i < kCount; i++) {
+    if (i % 7 == 3) {
+      ASSERT_OK(store_->Delete(root_, oids[i]));
+    } else if (i % 5 == 1) {
+      ASSERT_OK(store_->Update(root_, oids[i], Slice("upd" + std::to_string(i))));
+    } else if (i % 11 == 2) {
+      uint32_t vnum;
+      ASSERT_OK(store_->NewVersion(root_, oids[i], &vnum));
+    }
+  }
+  auto num = store_->NumEntries(root_);
+  ASSERT_TRUE(num.ok());
+  ASSERT_GT(num.value(), 3u * 127u);  // at least four entry pages
+
+  ObjectTable table(engine_.get(), root_);
+  auto expect_same = [&](LocalOid lo, LocalOid hi, bool tombstones) {
+    SCOPED_TRACE("[" + std::to_string(lo) + ", " + std::to_string(hi) +
+                 ") tombstones=" + std::to_string(tombstones));
+    std::vector<ObjectTable::Head> want;
+    for (LocalOid at = lo;;) {
+      LocalOid local;
+      bool found = false;
+      ASSERT_OK(table.NextHead(at, &local, &found, tombstones));
+      if (!found || local >= hi) break;
+      ObjectTable::Head head;
+      head.local = local;
+      ASSERT_OK(table.GetEntry(local, &head.entry));
+      want.push_back(head);
+      at = local + 1;
+    }
+    std::vector<ObjectTable::Head> got;
+    ASSERT_OK(store_->ScanHeads(root_, lo, hi, tombstones, &got));
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); i++) {
+      const ObjectTable::Entry& g = got[i].entry;
+      const ObjectTable::Entry& w = want[i].entry;
+      EXPECT_EQ(got[i].local, want[i].local);
+      EXPECT_EQ(g.page, w.page);
+      EXPECT_EQ(g.slot, w.slot);
+      EXPECT_EQ(g.flags, w.flags);
+      EXPECT_EQ(g.type_code, w.type_code);
+      EXPECT_EQ(g.prev_version, w.prev_version);
+      EXPECT_EQ(g.vnum, w.vnum);
+      EXPECT_EQ(g.parent_vnum, w.parent_vnum);
+      EXPECT_EQ(g.commit_seq, w.commit_seq);
+    }
+  };
+  // Morsel-aligned ranges (four entry pages each, the parallel scan's cut),
+  // including one past the high-water mark, plus unaligned and empty ones.
+  const LocalOid kMorsel = 4 * 127;
+  for (bool tombstones : {false, true}) {
+    for (LocalOid lo = 0; lo < num.value() + kMorsel; lo += kMorsel) {
+      expect_same(lo, lo + kMorsel, tombstones);
+    }
+    expect_same(0, num.value(), tombstones);
+    expect_same(100, 400, tombstones);
+    expect_same(126, 128, tombstones);
+    expect_same(200, 200, tombstones);
+  }
+}
+
 // --- Versions -----------------------------------------------------------------
 
 TEST_F(ObjectStoreTest, NewVersionFreezesState) {

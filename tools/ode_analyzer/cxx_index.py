@@ -30,7 +30,7 @@ from cxx_lexer import (
     tokenize,
 )
 
-INDEX_VERSION = 8  # combined with LEXER_VERSION in the cache key
+INDEX_VERSION = 9  # combined with LEXER_VERSION in the cache key
 
 CONTROL_KEYWORDS = {
     "if", "for", "while", "switch", "catch", "return", "sizeof", "alignof",
@@ -71,6 +71,8 @@ _CODING_OP_RE = re.compile(
     r"LengthPrefixedSlice)$"
 )
 _SNAPSHOT_GUARD_IDENTS = {"snapshot_", "RejectIfSnapshot"}
+# Member types registered as mutexes (util/mutex.h): both take MutexLock.
+MUTEX_TYPES = {"Mutex", "AdaptiveMutex"}
 
 
 def index_file(path, text):
@@ -671,7 +673,7 @@ class _Builder:
         field = {"name": name, "type": base, "line": stmt[0].line,
                  "type_text": type_text}
         rec["fields"].append(field)
-        if base == "Mutex" and "MutexLock" not in type_text:
+        if base in MUTEX_TYPES and "MutexLock" not in type_text:
             rec["mutexes"].append(name)
 
     # -- function bodies -----------------------------------------------------

@@ -6,15 +6,19 @@
 //   * ForwardPath + InvertedPath together      -> 2-cycle {alpha, beta}
 //   * Pool::Outer -> Pool::Inner               -> self-acquisition via the
 //     call-graph may_acquire propagation
+//   * Sharded::Fetch -> Sharded::Evict         -> the same, on an
+//     AdaptiveMutex member reached through a receiver (Shard::latch)
 #include <cstdint>
 
 namespace fix {
 
 class Mutex {};
+class AdaptiveMutex {};
+template <typename M>
 class MutexLock {
  public:
-  explicit MutexLock(Mutex& mu) : mu_(mu) {}
-  Mutex& mu_;
+  explicit MutexLock(M& mu) : mu_(mu) {}
+  M& mu_;
 };
 
 class Engine {
@@ -43,6 +47,19 @@ class Pool {
 
  private:
   Mutex mu_;
+};
+
+struct Shard {
+  AdaptiveMutex latch;
+};
+
+class Sharded {
+ public:
+  void Fetch(Shard* shard) {
+    MutexLock l(shard->latch);
+    Evict(shard);  // SEEDED: Evict re-acquires the latch Fetch holds
+  }
+  void Evict(Shard* shard) { MutexLock l(shard->latch); }
 };
 
 }  // namespace fix

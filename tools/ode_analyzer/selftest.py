@@ -64,6 +64,7 @@ def test_lock_order_fires_on_seeded_violations():
     assert "contradicts the documented lock order" in text, text
     assert "lock-order cycle" in text, text
     assert "self-acquisition of Pool::mu_" in text, text
+    assert "self-acquisition of Shard::latch" in text, text
 
 
 def test_lock_order_quiet_on_clean_twin():

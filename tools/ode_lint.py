@@ -5,9 +5,10 @@ Rules (each can be suppressed on a specific line with a trailing
 `// ode-lint: allow(<rule>)` comment — see the suppression policy in
 docs/STATIC_ANALYSIS.md):
 
-  mutex-guarded      Every ode::Mutex member must protect something: at least
-                     one GUARDED_BY/PT_GUARDED_BY/REQUIRES/ACQUIRE annotation
-                     in the same file must name it. A mutex nothing is
+  mutex-guarded      Every ode::Mutex / ode::AdaptiveMutex member must protect
+                     something: at least one GUARDED_BY/PT_GUARDED_BY/
+                     REQUIRES/ACQUIRE annotation in the same file must name
+                     it. A mutex nothing is
                      annotated against is a mutex the thread-safety analysis
                      silently ignores.
 
@@ -178,7 +179,9 @@ def _strip_cxx_noise_legacy(text):
 
 # --- Rule: mutex-guarded & raw-mutex ---------------------------------------
 
-MUTEX_DECL_RE = re.compile(r"\b(?:mutable\s+)?(?:ode::)?Mutex\s+(\w+)\s*;")
+# ode::Mutex and ode::AdaptiveMutex members (util/mutex.h).
+MUTEX_DECL_RE = re.compile(
+    r"\b(?:mutable\s+)?(?:ode::)?(?:Adaptive)?Mutex\s+(\w+)\s*;")
 RAW_MUTEX_RE = re.compile(
     r"\bstd::(mutex|shared_mutex|recursive_mutex|timed_mutex|"
     r"condition_variable(?:_any)?)\b"

@@ -102,6 +102,30 @@ def test_real_server_mutex_still_fires():
     assert any("extra_mu_" in f.msg for f in findings)
 
 
+# The buffer pool's shard latch type: both mutex rules must see it.
+ADAPTIVE_MUTEX_SRC = """\
+struct Pool {
+  mutable AdaptiveMutex latch;
+};
+"""
+
+
+def test_adaptive_mutex_is_covered_by_storage_mutex():
+    findings = run_rule(ode_lint.check_storage_mutexes,
+                        "src/storage/pool.h", ADAPTIVE_MUTEX_SRC,
+                        ode_lint.strip_cxx_noise)
+    assert any("latch" in f.msg for f in findings), \
+        "an unlisted AdaptiveMutex in src/storage/ must be reported"
+
+
+def test_adaptive_mutex_is_covered_by_mutex_guarded():
+    findings = run_rule(ode_lint.check_mutexes,
+                        "src/storage/pool.h", ADAPTIVE_MUTEX_SRC,
+                        ode_lint.strip_cxx_noise)
+    assert any(f.rule == "mutex-guarded" and "latch" in f.msg
+               for f in findings), [f.msg for f in findings]
+
+
 def test_inline_allow_still_honored():
     src = "struct S {\n  Mutex ok_mu_;  // ode-lint: allow(storage-mutex)\n};\n"
     findings = run_rule(ode_lint.check_storage_mutexes,
