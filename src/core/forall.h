@@ -29,8 +29,10 @@ namespace ode {
 ///  * `forall (p in person*)` — WithDerived() also iterates the clusters of
 ///    all derived classes (§3.1.1), yielding base-typed refs;
 ///  * iteration covers objects *inserted during the iteration* (§3.2, the
-///    fixpoint-query facility) when no `by` ordering is requested: the scan
-///    keeps re-checking the extent until a full pass finds nothing new;
+///    fixpoint-query facility) when no `by` ordering is requested: a locked
+///    scan keeps re-checking the extent until a full pass finds nothing
+///    new (a snapshot's extent is frozen, so its morsel scan makes one
+///    pass);
 ///  * ViaIndex* — an index access path replacing the full scan (the query
 ///    optimization §3 anticipates).
 template <typename T>
@@ -47,7 +49,7 @@ class ForAll {
     size_t index_candidates = 0;  ///< oids yielded by the index / oid list
     size_t rows_scanned = 0;      ///< objects deserialized and tested
     size_t rows_returned = 0;     ///< objects passing every predicate
-    size_t workers = 0;           ///< pool workers used (0 = serial)
+    size_t workers = 0;           ///< pool workers used (0 = caller's thread)
     /// Buffer-pool fetches (hits and misses) made by the loop itself, on
     /// the coordinator and every worker; Do/Each bodies are not counted.
     size_t pool_fetches = 0;
@@ -119,12 +121,12 @@ class ForAll {
     return *this;
   }
 
-  /// Requests the morsel-parallel scan path with `workers` query-pool
-  /// threads (0 = the whole pool). Honored only where parallelism preserves
-  /// the serial semantics exactly: a snapshot transaction on the plain scan
-  /// path (docs/CONCURRENCY.md "Parallel query execution"). Anything else —
-  /// a lock-based transaction, an index/oid-list access path, no pool —
-  /// falls back to the serial scan and counts query.parallel.fallbacks.
+  /// Requests the morsel scan on `workers` query-pool threads (0 = the
+  /// whole pool). Honored only where it preserves the inline scan's
+  /// semantics exactly: a snapshot transaction on the plain scan path
+  /// (docs/CONCURRENCY.md "Parallel query execution"). Anything else — a
+  /// lock-based transaction, an index/oid-list access path, no pool — runs
+  /// on the caller's thread and counts query.parallel.fallbacks.
   /// When the pool cannot admit the whole worker set the execution fails
   /// with Busy (RunReadTransaction retries it) rather than degrading
   /// silently. SuchThat predicates run concurrently on pool threads and
@@ -136,109 +138,31 @@ class ForAll {
     return *this;
   }
 
-  /// True when the next execution will take the morsel-parallel scan path.
+  /// True when the next execution will run its morsels on pool workers.
   bool WillRunParallel() const {
     QueryPool* pool = txn_->db().query_pool();
-    return parallel_ && txn_->snapshot() && !use_explicit_ &&
-           index_mode_ == IndexMode::kNone && pool != nullptr &&
+    return parallel_ && SnapshotScan() && pool != nullptr &&
            pool->thread_count() > 0;
   }
 
-  /// Morsel-parallel scan core (requires WillRunParallel()): partitions
-  /// every cluster's entry range into page-aligned morsels, claims them
-  /// across pool workers that each join this transaction's snapshot, and
-  /// folds every matching object through `step(acc, ref, obj)` into its
-  /// morsel's accumulator slot. Slots come back in scan order, so merging
-  /// them ascending reproduces the serial scan's visit order exactly —
-  /// Collect() concatenates them, the aggregate helpers fold them. The
-  /// `obj` pointer is only valid during the `step` call (it lives in the
-  /// worker's transaction cache). Busy when the pool cannot admit the job.
+  /// Folds every matching object through `step(acc, ref, obj)` into
+  /// accumulator slots returned in scan order. A snapshot transaction on the
+  /// plain scan path gets one slot per morsel — page-aligned cuts of each
+  /// cluster's entry range, folded on pool workers when WillRunParallel()
+  /// and inline otherwise — so the slots, and any ordered merge of them,
+  /// are the same at every width. Every other path folds left to right into
+  /// a single slot. Collect() concatenates the slots, the aggregate helpers
+  /// merge them. The `obj` pointer is only valid during the `step` call.
+  /// Busy when the pool cannot admit the job.
   template <typename A>
-  Result<std::vector<A>> ParallelMorsels(
+  Result<std::vector<A>> Fold(
       const std::function<Status(A&, Ref<T>, const T&)>& step) {
-    stats_ = ExecStats{};
-    stats_.access_path = "scan";
-    executed_ = true;
-    if (!WillRunParallel()) {
-      return Status::InvalidArgument(
-          "ParallelMorsels requires an eligible Parallel() scan");
-    }
-    const uint64_t fetches_at_start = BufferPool::ThreadFetches();
-    Database& db = txn_->db();
-    QueryPool* pool = db.query_pool();
-    std::vector<ClusterId> clusters;
-    ODE_RETURN_IF_ERROR(ResolveClusters(&clusters));
-    stats_.clusters = clusters.size();
-    // Snapshot scans see a frozen extent, so one pass suffices (the serial
-    // worklist re-scan exists for bodies that insert — impossible here).
-    stats_.rounds = 1;
-    struct Morsel {
-      ClusterId cluster;
-      LocalOid lo;
-      LocalOid hi;  ///< exclusive
-    };
-    std::vector<Morsel> morsels;
-    for (ClusterId cluster : clusters) {
-      ODE_ASSIGN_OR_RETURN(PageId root, db.TableRootOf(cluster));
-      // Read-ahead the cluster's object-table entry pages in one batched
-      // pass; workers then hit warm frames instead of serializing their
-      // entry walks on demand misses (prefetch is advisory — failures just
-      // leave the demand path to surface real errors).
-      std::vector<PageId> entry_pages;
-      Status listed = db.store().ListEntryPages(root, &entry_pages);
-      if (listed.ok() && !entry_pages.empty()) {
-        IgnoreStatus(
-            db.engine().buffer_pool().Prefetch(entry_pages.data(),
-                                               entry_pages.size()),
-            "parallel_scan_prefetch");
-      }
-      ODE_ASSIGN_OR_RETURN(uint32_t entries, db.store().NumEntries(root));
-      for (uint32_t lo = 0; lo < entries; lo += kMorselEntries) {
-        const uint32_t hi = std::min<uint32_t>(lo + kMorselEntries, entries);
-        morsels.push_back(Morsel{cluster, lo, hi});
-      }
-    }
-    std::vector<A> slots(morsels.size());
-    size_t workers =
-        parallel_workers_ == 0 ? pool->thread_count() : parallel_workers_;
-    workers = std::min(workers, pool->thread_count());
-    if (!morsels.empty()) {
-      workers = std::min(workers, morsels.size());
-      const uint64_t seq = txn_->snapshot_seq();
-      std::atomic<size_t> cursor{0};
-      std::vector<ExecStats> partials(workers);
-      ODE_RETURN_IF_ERROR(pool->Run(workers, [&](size_t w) -> Status {
-        const uint64_t worker_fetches_at_start = BufferPool::ThreadFetches();
-        // A fresh snapshot transaction per worker, joined at the
-        // coordinator's cut: pool threads have no transaction bound, and
-        // every read below resolves exactly as the coordinator's would.
-        ODE_ASSIGN_OR_RETURN(std::unique_ptr<Transaction> wt,
-                             db.BeginSnapshotAt(seq));
-        Status ws;
-        for (;;) {
-          const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-          if (i >= morsels.size()) break;
-          ws = ScanMorsel(*wt, morsels[i].cluster, morsels[i].lo,
-                          morsels[i].hi, &slots[i], &partials[w], step);
-          if (!ws.ok()) break;
-        }
-        Status closed = ws.ok() ? wt->Commit() : wt->Abort();
-        partials[w].pool_fetches =
-            BufferPool::ThreadFetches() - worker_fetches_at_start;
-        return ws.ok() ? closed : ws;
-      }));
-      for (const ExecStats& p : partials) {
-        stats_.rows_scanned += p.rows_scanned;
-        stats_.rows_returned += p.rows_returned;
-        stats_.pool_fetches += p.pool_fetches;
-      }
-      stats_.workers = workers;
-      const Database::CoreMetrics& m = db.core_metrics();
-      m.parallel_scans->Add();
-      m.parallel_morsels->Add(morsels.size());
-    }
-    stats_.pool_fetches += BufferPool::ThreadFetches() - fetches_at_start;
-    FlushStats();
+    if (SnapshotScan()) return ScanSnapshot(step);
+    std::vector<A> slots(1);
+    ODE_RETURN_IF_ERROR(Stream([&](Ref<T> ref) -> Status {
+      ODE_ASSIGN_OR_RETURN(const T* obj, txn_->Read(ref));
+      return step(slots[0], ref, *obj);
+    }));
     return slots;
   }
 
@@ -316,32 +240,139 @@ class ForAll {
  private:
   enum class IndexMode { kNone, kExact, kRange };
 
-  /// Optimistic-validation attempts for lock-free snapshot index scans.
-  static constexpr int kSnapshotScanRetries = 8;
-
-  /// Entries per parallel-scan morsel: four 127-entry object-table pages.
-  /// Page-aligned cuts mean no entry page is ever split between workers,
-  /// and four pages is fine-grained enough that the shared cursor balances
-  /// skewed predicates across the pool.
+  /// Entries per morsel: four 127-entry object-table pages. Page-aligned
+  /// cuts mean no entry page is ever split between workers, and four pages
+  /// is fine-grained enough that the shared cursor balances skewed
+  /// predicates across the pool.
   static constexpr uint32_t kMorselEntries = 4 * 127;
 
-  /// One worker's pass over entry range [lo, hi) of `cluster`, inside the
-  /// worker's own joined-snapshot transaction `wt`: walks the morsel's entry
-  /// pages once for its heads and their entries, prefetches the record
-  /// pages they point at in one batch, then reads, filters and folds the
-  /// snapshot-visible objects into `acc`. The objects read are released
-  /// once folded, so a worker caches one morsel's objects at a time.
+  /// Entry range [lo, hi) of one cluster's object table.
+  struct Morsel {
+    ClusterId cluster;
+    LocalOid lo;
+    LocalOid hi;
+  };
+
+  /// A snapshot transaction on the plain scan path: its extent is frozen,
+  /// so the morsel scan covers it in one pass.
+  bool SnapshotScan() const {
+    return txn_->snapshot() && !use_explicit_ &&
+           index_mode_ == IndexMode::kNone;
+  }
+
+  /// Starts an execution: fresh counters, and a Parallel() request the
+  /// loop cannot honor counted as a fallback.
+  void BeginExecution() {
+    stats_ = ExecStats{};
+    executed_ = true;
+    if (parallel_ && !WillRunParallel()) {
+      txn_->db().core_metrics().parallel_fallbacks->Add();
+    }
+  }
+
+  /// The snapshot scan: cuts every cluster's entry range into morsels and
+  /// folds each into its own slot — on pool workers that each join this
+  /// transaction's cut when WillRunParallel(), else inline in this
+  /// transaction.
   template <typename A>
-  Status ScanMorsel(Transaction& wt, ClusterId cluster, LocalOid lo,
-                    LocalOid hi, A* acc, ExecStats* partial,
+  Result<std::vector<A>> ScanSnapshot(
+      const std::function<Status(A&, Ref<T>, const T&)>& step) {
+    BeginExecution();
+    stats_.access_path = "scan";
+    stats_.rounds = 1;
+    const uint64_t fetches_at_start = BufferPool::ThreadFetches();
+    Database& db = txn_->db();
+    std::vector<ClusterId> clusters;
+    ODE_RETURN_IF_ERROR(ResolveClusters(&clusters));
+    stats_.clusters = clusters.size();
+    std::vector<Morsel> morsels;
+    for (ClusterId cluster : clusters) {
+      ODE_ASSIGN_OR_RETURN(PageId root, db.TableRootOf(cluster));
+      // Read-ahead the cluster's object-table entry pages in one batched
+      // pass; morsel walks then hit warm frames instead of serializing on
+      // demand misses (prefetch is advisory — failures just leave the
+      // demand path to surface real errors).
+      std::vector<PageId> entry_pages;
+      Status listed = db.store().ListEntryPages(root, &entry_pages);
+      if (listed.ok() && !entry_pages.empty()) {
+        IgnoreStatus(
+            db.engine().buffer_pool().Prefetch(entry_pages.data(),
+                                               entry_pages.size()),
+            "parallel_scan_prefetch");
+      }
+      ODE_ASSIGN_OR_RETURN(uint32_t entries, db.store().NumEntries(root));
+      for (uint32_t lo = 0; lo < entries; lo += kMorselEntries) {
+        const uint32_t hi = std::min<uint32_t>(lo + kMorselEntries, entries);
+        morsels.push_back(Morsel{cluster, lo, hi});
+      }
+    }
+    std::vector<A> slots(morsels.size());
+    if (!WillRunParallel()) {
+      for (size_t i = 0; i < morsels.size(); i++) {
+        ODE_RETURN_IF_ERROR(
+            ScanMorsel(*txn_, morsels[i], &slots[i], &stats_, step));
+      }
+    } else if (!morsels.empty()) {
+      QueryPool* pool = db.query_pool();
+      size_t workers =
+          parallel_workers_ == 0 ? pool->thread_count() : parallel_workers_;
+      workers = std::min({workers, pool->thread_count(), morsels.size()});
+      const uint64_t seq = txn_->snapshot_seq();
+      std::atomic<size_t> cursor{0};
+      std::vector<ExecStats> partials(workers);
+      ODE_RETURN_IF_ERROR(pool->Run(workers, [&](size_t w) -> Status {
+        const uint64_t worker_fetches_at_start = BufferPool::ThreadFetches();
+        // A fresh snapshot transaction per worker, joined at the
+        // coordinator's cut: pool threads have no transaction bound, and
+        // every read below resolves exactly as the coordinator's would.
+        ODE_ASSIGN_OR_RETURN(std::unique_ptr<Transaction> wt,
+                             db.BeginSnapshotAt(seq));
+        Status ws;
+        for (;;) {
+          const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+          if (i >= morsels.size()) break;
+          ws = ScanMorsel(*wt, morsels[i], &slots[i], &partials[w], step);
+          if (!ws.ok()) break;
+          // The morsel is folded: drop its objects, so a worker caches one
+          // morsel's objects at a time instead of its whole share.
+          wt->ReleaseCachedReads();
+        }
+        Status closed = ws.ok() ? wt->Commit() : wt->Abort();
+        partials[w].pool_fetches =
+            BufferPool::ThreadFetches() - worker_fetches_at_start;
+        return ws.ok() ? closed : ws;
+      }));
+      for (const ExecStats& p : partials) {
+        stats_.rows_scanned += p.rows_scanned;
+        stats_.rows_returned += p.rows_returned;
+        stats_.pool_fetches += p.pool_fetches;
+      }
+      stats_.workers = workers;
+      const Database::CoreMetrics& m = db.core_metrics();
+      m.parallel_scans->Add();
+      m.parallel_morsels->Add(morsels.size());
+    }
+    stats_.pool_fetches += BufferPool::ThreadFetches() - fetches_at_start;
+    FlushStats();
+    return slots;
+  }
+
+  /// One pass over `morsel` inside snapshot transaction `st` (the caller's,
+  /// or a worker's joined at its cut): walks the morsel's entry pages once
+  /// for its heads and their entries, prefetches the record pages they
+  /// point at in one batch, then reads, filters and folds the
+  /// snapshot-visible objects into `acc`.
+  template <typename A>
+  Status ScanMorsel(Transaction& st, const Morsel& morsel, A* acc,
+                    ExecStats* partial,
                     const std::function<Status(A&, Ref<T>, const T&)>& step) {
     Database& db = txn_->db();
-    ODE_ASSIGN_OR_RETURN(PageId root, db.TableRootOf(cluster));
-    // Tombstoned heads come along, as in a snapshot NextInCluster: whether
-    // an object is visible at the cut is the read's decision below.
+    ODE_ASSIGN_OR_RETURN(PageId root, db.TableRootOf(morsel.cluster));
+    // Tombstoned heads come along: whether an object is visible at the cut
+    // is the read's decision below.
     std::vector<ObjectTable::Head> heads;
     ODE_RETURN_IF_ERROR(db.store().ScanHeads(
-        root, lo, hi, /*include_tombstones=*/true, &heads));
+        root, morsel.lo, morsel.hi, /*include_tombstones=*/true, &heads));
     if (heads.empty()) return Status::OK();
     // Read-ahead the record pages the head entries point at, each run of
     // heads on one page listed once (a snapshot may resolve some objects to
@@ -364,11 +395,11 @@ class ForAll {
                    "parallel_scan_prefetch");
     }
     for (const ObjectTable::Head& head : heads) {
-      Ref<T> ref(&db, Oid{cluster, head.local});
-      Result<const T*> read = wt.Read(ref);
+      Ref<T> ref(&db, Oid{morsel.cluster, head.local});
+      Result<const T*> read = st.Read(ref);
       if (!read.ok()) {
-        // Same rule as the serial snapshot scan: heads not visible at the
-        // cut (tombstones, post-snapshot creations) are skipped.
+        // A head whose newest state visible at the cut is "not yet
+        // created" or "deleted" resolves NotFound: not a match.
         if (read.status().IsNotFound()) continue;
         return read.status();
       }
@@ -377,7 +408,6 @@ class ForAll {
       partial->rows_returned++;
       ODE_RETURN_IF_ERROR(step(*acc, ref, *read.value()));
     }
-    wt.ReleaseCachedReads();
     return Status::OK();
   }
 
@@ -410,12 +440,30 @@ class ForAll {
     return Status::OK();
   }
 
-  /// Streaming scan with worklist semantics: clusters are re-scanned past
-  /// their previous high-water marks until a full round adds nothing, so
-  /// objects created by `body` are visited too (§3.2).
+  /// Runs `body` for each matching object. A snapshot scan collects the
+  /// matching refs through the morsel scan first, then runs the body on
+  /// them in scan order (a snapshot body cannot insert, so nothing is
+  /// missed). Every other path streams: index and oid-list paths over
+  /// their resolved oids, and the locked scan as a worklist — clusters are
+  /// re-scanned past their previous high-water marks until a full round
+  /// adds nothing, so objects created by `body` are visited too (§3.2).
   Status Stream(const std::function<Status(Ref<T>)>& body) {
-    stats_ = ExecStats{};
-    executed_ = true;
+    if (SnapshotScan()) {
+      ODE_ASSIGN_OR_RETURN(
+          std::vector<std::vector<Ref<T>>> slots,
+          ScanSnapshot<std::vector<Ref<T>>>(
+              [](std::vector<Ref<T>>& acc, Ref<T> ref, const T&) -> Status {
+                acc.push_back(ref);
+                return Status::OK();
+              }));
+      for (const auto& slot : slots) {
+        for (const Ref<T>& ref : slot) {
+          ODE_RETURN_IF_ERROR(body(ref));
+        }
+      }
+      return Status::OK();
+    }
+    BeginExecution();
     const uint64_t fetches_at_start = BufferPool::ThreadFetches();
     uint64_t body_fetches = 0;
     // Runs the body with its own page fetches kept out of pool_fetches.
@@ -428,9 +476,6 @@ class ForAll {
     auto fetches_so_far = [&]() -> size_t {
       return BufferPool::ThreadFetches() - fetches_at_start - body_fetches;
     };
-    if (parallel_ && !WillRunParallel()) {
-      txn_->db().core_metrics().parallel_fallbacks->Add();
-    }
     if (use_explicit_ || index_mode_ != IndexMode::kNone) {
       stats_.access_path = use_explicit_               ? "oid-list"
                            : index_mode_ == IndexMode::kExact ? "index-exact"
@@ -460,25 +505,6 @@ class ForAll {
       return Status::OK();
     }
     stats_.access_path = "scan";
-    if (WillRunParallel()) {
-      // Parallel-collect the matching refs (morsel slots arrive in scan
-      // order, so concatenation IS the serial visit order), then run the
-      // body serially on the coordinator — bodies stay single-threaded.
-      std::function<Status(std::vector<Ref<T>>&, Ref<T>, const T&)> collect =
-          [](std::vector<Ref<T>>& acc, Ref<T> ref, const T&) -> Status {
-        acc.push_back(ref);
-        return Status::OK();
-      };
-      Result<std::vector<std::vector<Ref<T>>>> slots =
-          ParallelMorsels<std::vector<Ref<T>>>(collect);
-      if (!slots.ok()) return slots.status();
-      for (const auto& slot : slots.value()) {
-        for (const Ref<T>& ref : slot) {
-          ODE_RETURN_IF_ERROR(body(ref));
-        }
-      }
-      return Status::OK();
-    }
     std::vector<ClusterId> clusters;
     ODE_RETURN_IF_ERROR(ResolveClusters(&clusters));
     stats_.clusters = clusters.size();
@@ -497,16 +523,7 @@ class ForAll {
           high_water[i] = local + 1;
           progressed = true;
           Ref<T> ref(&txn_->db(), Oid{clusters[i], local});
-          Result<const T*> read = txn_->Read(ref);
-          if (!read.ok()) {
-            // Snapshot scans enumerate heads including tombstones (so the
-            // walk can reach versions still visible at the snapshot); a head
-            // whose newest visible state is "not yet created" or "deleted"
-            // resolves NotFound — not a match, keep scanning.
-            if (txn_->snapshot() && read.status().IsNotFound()) continue;
-            return read.status();
-          }
-          const T* obj = read.value();
+          ODE_ASSIGN_OR_RETURN(const T* obj, txn_->Read(ref));
           stats_.rows_scanned++;
           if (!Matches(*obj)) continue;
           stats_.rows_returned++;
@@ -544,34 +561,12 @@ class ForAll {
     }
     IndexManager& indexes = txn_->db().indexes();
     if (txn_->snapshot()) {
-      // Lock-free snapshot scan over VERSIONED index entries: the scan
-      // filters each (key, oid) group through "newest entry with
-      // commit_seq <= snapshot_seq", so the emitted oid set is the key set
-      // as of the snapshot's cut regardless of concurrent key mutations —
-      // the old current-key-set anomaly is gone, and GC cannot remove an
-      // entry this snapshot resolves (the watermark is <= our sequence).
-      //
-      // The SyncedSeq validation loop remains purely STRUCTURAL: a publish
-      // that splits pages mid-traversal can mix old and new page images
-      // (pinned leaves vs freshly-read siblings) and tear the walk itself.
-      // Equal sequence before/after proves the tree did not move; a retry
-      // re-reads the same versioned entries and converges to the identical
-      // snapshot-consistent answer. Exhaustion surfaces Busy for
-      // RunReadTransaction under sustained commit pressure; never locks.
-      const uint64_t as_of = txn_->snapshot_seq();
-      for (int attempt = 0; attempt < kSnapshotScanRetries; ++attempt) {
-        const uint64_t before = txn_->db().engine().SyncedSeq();
-        oids->clear();
-        Status s =
-            index_mode_ == IndexMode::kExact
-                ? indexes.ScanExact(index_, index_lo_, oids, as_of)
-                : indexes.ScanRange(index_, index_lo_, index_hi_, oids, as_of);
-        if (s.ok() && txn_->db().engine().SyncedSeq() == before) {
-          return Status::OK();
-        }
-      }
-      return Status::Busy("snapshot index scan kept racing commits on " +
-                          index_);
+      // Versioned entries resolve at the cut, so the oid set is the key set
+      // as of the snapshot regardless of concurrent key mutations.
+      return indexes.ScanAtSnapshot(
+          index_, index_lo_,
+          index_mode_ == IndexMode::kExact ? nullptr : &index_hi_,
+          txn_->snapshot_seq(), oids);
     }
     // Shared-lock the index before reading its B-tree, so concurrent
     // maintenance (which takes X per index) cannot mutate the tree under

@@ -258,6 +258,28 @@ Status IndexManager::ScanExact(const std::string& name,
                    as_of);
 }
 
+Status IndexManager::ScanAtSnapshot(const std::string& name,
+                                    const std::string& lo,
+                                    const std::string* hi, uint64_t as_of,
+                                    std::vector<Oid>* out) const {
+  // Equal SyncedSeq before and after proves no publish moved the tree
+  // under the walk (which could mix old and new page images and tear it);
+  // a retry re-reads the same versioned entries and converges to the
+  // identical answer for the cut. GC cannot remove an entry the snapshot
+  // resolves: the watermark is at most its sequence.
+  if (catalog_->FindIndex(name) == nullptr) {
+    return Status::NotFound("index " + name);
+  }
+  for (int attempt = 0; attempt < kSnapshotScanAttempts; ++attempt) {
+    const uint64_t before = engine_->SyncedSeq();
+    Status s = hi == nullptr ? ScanExact(name, lo, out, as_of)
+                             : ScanRange(name, lo, *hi, out, as_of);
+    if (s.ok() && engine_->SyncedSeq() == before) return Status::OK();
+  }
+  return Status::Busy("snapshot scan of index " + name +
+                      " kept racing commits");
+}
+
 Status IndexManager::ScanRange(const std::string& name, const std::string& lo,
                                const std::string& hi, std::vector<Oid>* out,
                                uint64_t as_of) const {

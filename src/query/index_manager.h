@@ -105,6 +105,16 @@ class IndexManager {
                    const std::string& hi, std::vector<Oid>* out,
                    uint64_t as_of = index_key::kSeeAllSeq) const;
 
+  /// Lock-free index read for a snapshot at publish sequence `as_of`:
+  /// ScanExact(lo) when `hi` is null, else ScanRange(lo, *hi). Versioned
+  /// entries already resolve at the cut; the SyncedSeq check around each
+  /// attempt guards only against a structurally torn walk (a publish
+  /// splitting pages mid-traversal). Busy after kSnapshotScanAttempts such
+  /// races — never a lock.
+  Status ScanAtSnapshot(const std::string& name, const std::string& lo,
+                        const std::string* hi, uint64_t as_of,
+                        std::vector<Oid>* out) const;
+
   const CatalogData::IndexEntry* FindEntry(const std::string& name) const {
     return catalog_->FindIndex(name);
   }
@@ -141,6 +151,9 @@ class IndexManager {
                     uint64_t* reclaimed);
 
  private:
+  /// Optimistic-validation attempts of ScanAtSnapshot.
+  static constexpr int kSnapshotScanAttempts = 8;
+
   /// Reads the current B-tree root id from the index's root-pointer page
   /// (the calling transaction's shadow if it has one, else the committed
   /// image — snapshot readers thus see the root as of their cut).

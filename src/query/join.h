@@ -46,11 +46,11 @@ struct JoinStats {
 /// theta-join by nested loops: body(a, b) for every pair that satisfies the
 /// predicate. O(|A| * |B|) object reads.
 ///
-/// `parallel_outer` > 0 runs the OUTER scan through the morsel-parallel
-/// ForAll path with that many query-pool workers (0 = serial; honored only
-/// under the usual eligibility — snapshot transaction, plain scan — and
-/// falls back to the serial scan otherwise). The per-pair work stays serial
-/// on the coordinator. Same for IndexJoin and HashJoin below (HashJoin also
+/// `parallel_outer` > 0 runs the OUTER scan's morsels on that many
+/// query-pool workers (0 = on the caller's thread; honored only under the
+/// usual eligibility — snapshot transaction, plain scan — and run on the
+/// caller's thread otherwise). The per-pair work stays serial on the
+/// coordinator. Same for IndexJoin and HashJoin below (HashJoin also
 /// parallelizes its build-side scan).
 template <typename L, typename R>
 Status NestedLoopJoin(
@@ -112,23 +112,9 @@ Status IndexJoin(Transaction& txn, const std::string& right_index,
     std::vector<Oid> matches;
     if (txn.snapshot()) {
       // Lock-free probe over versioned entries, resolved at the snapshot's
-      // cut (same visibility rule as the object reads). The SyncedSeq
-      // validation guards only against a STRUCTURALLY torn traversal while
-      // a publish splits pages — a clean retry re-reads the identical
-      // snapshot-consistent key set (see ForAll::ResolveOidList).
-      constexpr int kRetries = 8;
-      int attempt = 0;
-      for (;; ++attempt) {
-        const uint64_t before = txn.db().engine().SyncedSeq();
-        matches.clear();
-        Status probe = indexes.ScanExact(right_index, key, &matches,
-                                         txn.snapshot_seq());
-        if (probe.ok() && txn.db().engine().SyncedSeq() == before) break;
-        if (attempt + 1 >= kRetries) {
-          return Status::Busy("snapshot index probe kept racing commits on " +
-                              right_index);
-        }
-      }
+      // cut (same visibility rule as the object reads).
+      ODE_RETURN_IF_ERROR(indexes.ScanAtSnapshot(
+          right_index, key, /*hi=*/nullptr, txn.snapshot_seq(), &matches));
     } else {
       ODE_RETURN_IF_ERROR(txn.LockIndexShared(right_index));
       ODE_RETURN_IF_ERROR(indexes.ScanExact(right_index, key, &matches));

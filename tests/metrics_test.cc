@@ -319,27 +319,27 @@ TEST_F(ExecStatsTest, CountAndCollectPopulateStatsToo) {
 
 TEST_F(ExecStatsTest, ScansReportExactPoolFetchesPerRow) {
   // The ten Persons share one object-table entry page, listed in the
-  // table's single root (directory) page, and one data page.
+  // table's single root (directory) page, and one data page. Every snapshot
+  // scan is the morsel scan, and both executions below plan one morsel.
   //
-  // Serial snapshot scan: every NextInCluster that finds a head fetches the
-  // root for the high-water mark, the root again for the directory, and the
-  // entry page (3). Two calls run past the end, one closing the first round
-  // and one the second round that finds nothing new (§3.2), and fetch only
-  // the root (1 each). Every snapshot read fetches the root, the entry page
-  // and the data page (3). 10 * (3 + 3) + 2 = 62.
+  // Inline snapshot scan (no Parallel()): the caller fetches the root to
+  // list the entry pages and again for the high-water mark (2), walks the
+  // morsel with one root and one entry-page fetch (2), then reads the ten
+  // objects, each read fetching the root, the entry page and the data
+  // page (10 * 3). 2 + 2 + 30 = 34.
   ASSERT_OK(m_->RunReadTransaction([&](Transaction& txn) -> Status {
     ForAll<Person> loop(txn);
     ODE_ASSIGN_OR_RETURN(size_t n, loop.Count());
     EXPECT_EQ(n, 10u);
-    EXPECT_EQ(loop.exec_stats().pool_fetches, 62u);
-    EXPECT_NE(loop.Explain().find("pool_fetches=62"), std::string::npos)
+    EXPECT_EQ(loop.exec_stats().workers, 0u);
+    EXPECT_EQ(loop.exec_stats().pool_fetches, 34u);
+    EXPECT_NE(loop.Explain().find("pool_fetches=34"), std::string::npos)
         << loop.Explain();
     return Status::OK();
   }));
-  // Parallel snapshot scan, one morsel: the coordinator fetches the root to
-  // list the entry pages and again for the high-water mark (2); the worker
-  // walks the morsel with one root and one entry-page fetch (2), then reads
-  // the ten objects (10 * 3). 2 + 2 + 30 = 34.
+  // Parallel snapshot scan, one morsel: the same 34 fetches, split between
+  // the coordinator (root listing and high-water root, 2) and the one
+  // worker (morsel walk 2, reads 30).
   ASSERT_OK(m_->RunReadTransaction([&](Transaction& txn) -> Status {
     ForAll<Person> loop(txn);
     loop.Parallel(2);
@@ -357,7 +357,7 @@ TEST_F(ExecStatsTest, ScansReportExactPoolFetchesPerRow) {
     found = true;
     EXPECT_EQ(row.count, 2u);
     EXPECT_DOUBLE_EQ(row.min, 3.4);
-    EXPECT_DOUBLE_EQ(row.max, 6.2);
+    EXPECT_DOUBLE_EQ(row.max, 3.4);
   }
   EXPECT_TRUE(found);
 }

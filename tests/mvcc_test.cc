@@ -524,6 +524,20 @@ TEST_F(MvccTest, SnapshotIndexProbeSeesCutKeySet) {
   }));
 }
 
+// A snapshot index read of an index that does not exist answers NotFound,
+// as a locked one does: no commit is racing it, so Busy — which tells
+// RunReadTransaction to try again — would be the wrong answer.
+TEST_F(MvccTest, SnapshotIndexScanOfUnknownIndexIsNotFound) {
+  Open();
+  MakeItem("x", 1);
+  auto snap = ASSERT_OK_AND_UNWRAP((*db_)->BeginSnapshot());
+  Status s = ForAll<StockItem>(*snap)
+                 .ViaIndexExact("no_such_idx", index_key::FromString("x"))
+                 .Do([](Ref<StockItem>) { return Status::OK(); });
+  EXPECT_TRUE(s.IsNotFound()) << s.ToString();
+  ASSERT_OK(snap->Commit());
+}
+
 // An index join probing through a snapshot pairs rows as of the cut: a key
 // mutation plus a decoy insert under the old key, both after the snapshot
 // began, change nothing for the snapshot and everything for a locked join.

@@ -1,15 +1,20 @@
-// Parallel ForAll execution (docs/CONCURRENCY.md "Parallel query
-// execution"): a snapshot-transaction scan partitions the cluster's
-// object-table entry range into page-aligned morsels and fans them out over
-// the shared QueryPool. The contract under test:
+// Snapshot ForAll execution (docs/CONCURRENCY.md "Parallel query
+// execution"): every snapshot-transaction scan partitions the clusters'
+// object-table entry ranges into page-aligned morsels; Parallel() fans them
+// out over the shared QueryPool, otherwise they run inline in the caller's
+// transaction. The contract under test:
 //
-//   * results are identical to the serial scan — same refs, same order,
-//     same aggregate values (ties in Min/Max resolve to the same object);
-//   * the scan is snapshot-consistent while writers commit concurrently;
+//   * results are identical to a locked scan of the same quiescent data —
+//     the worklist over NextInCluster, which shares no code with the morsel
+//     scan — in refs, order and aggregate values (ties in Min/Max resolve
+//     to the same object); the inline and Parallel() snapshot scans agree
+//     with each other as well;
+//   * the scan is snapshot-consistent while writers commit concurrently,
+//     inline with no pool as well as on pool workers;
 //   * admission is all-or-nothing: a pool with fewer idle threads than the
 //     job asks for fails with Busy instead of degrading silently;
-//   * ineligible loops (locked transactions, explicit oid lists) fall back
-//     to the serial path and count query.parallel.fallbacks;
+//   * ineligible loops (locked transactions, explicit oid lists, no pool)
+//     run on the caller's thread and count query.parallel.fallbacks;
 //   * per-worker ExecStats merge into the coordinator's counters.
 
 #include <gtest/gtest.h>
@@ -30,6 +35,7 @@ namespace {
 
 using odetest::Person;
 using odetest::StockItem;
+using odetest::Student;
 using testing::TestDb;
 
 class ParallelQueryTest : public ::testing::Test {
@@ -59,21 +65,38 @@ class ParallelQueryTest : public ::testing::Test {
     }
   }
 
+  /// The reference answer: a locked scan (the NextInCluster worklist) of
+  /// the same quiescent data, taken in its own transaction.
+  template <typename Fn>
+  void Locked(Fn fn) {
+    ASSERT_OK((*db_)->RunTransaction(
+        [&](Transaction& txn) -> Status { return fn(txn); }));
+  }
+
   std::unique_ptr<TestDb> db_;
   std::vector<Ref<StockItem>> refs_;
 };
 
-// The parallel collect returns exactly the serial scan's refs in exactly the
-// serial scan's order (morsel slots concatenate in scan order), and the
-// merged ExecStats match the serial counters.
+// The inline and parallel snapshot collects return exactly the locked
+// scan's refs in exactly its order (morsel slots concatenate in scan
+// order), and the merged ExecStats match the inline counters.
 TEST_F(ParallelQueryTest, CollectMatchesSerialOrdered) {
   Open(/*query_threads=*/4);
   Seed(1200);
+  std::vector<Ref<StockItem>> locked_refs;
+  Locked([&](Transaction& txn) -> Status {
+    ODE_ASSIGN_OR_RETURN(locked_refs, ForAll<StockItem>(txn).Collect());
+    return Status::OK();
+  });
+  ASSERT_EQ(locked_refs.size(), 1200u);
 
   auto snap = ASSERT_OK_AND_UNWRAP((*db_)->BeginSnapshot());
   ForAll<StockItem> serial(*snap);
   auto serial_refs = ASSERT_OK_AND_UNWRAP(serial.Collect());
-  ASSERT_EQ(serial_refs.size(), 1200u);
+  ASSERT_EQ(serial_refs.size(), locked_refs.size());
+  for (size_t i = 0; i < locked_refs.size(); i++) {
+    EXPECT_EQ(serial_refs[i].oid(), locked_refs[i].oid()) << "at " << i;
+  }
   EXPECT_EQ(serial.exec_stats().workers, 0u);
 
   ForAll<StockItem> parallel(*snap);
@@ -94,13 +117,12 @@ TEST_F(ParallelQueryTest, CollectMatchesSerialOrdered) {
   ASSERT_OK(snap->Commit());
 }
 
-// Filtered scans and the aggregate helpers produce the serial answers, with
-// the merged ExecStats counting every scanned row once across workers.
+// Filtered scans and the aggregate helpers produce the locked scan's
+// answers, with the merged ExecStats counting every scanned row once across
+// workers.
 TEST_F(ParallelQueryTest, FilteredAggregatesMatchSerial) {
   Open(/*query_threads=*/4);
   Seed(1000);
-
-  auto snap = ASSERT_OK_AND_UNWRAP((*db_)->BeginSnapshot());
   auto filtered = [](ForAll<StockItem> loop) {
     return std::move(loop).SuchThat(
         [](const StockItem& s) { return s.quantity() % 3 == 0; });
@@ -108,19 +130,35 @@ TEST_F(ParallelQueryTest, FilteredAggregatesMatchSerial) {
   auto quantity = [](const StockItem& s) {
     return static_cast<double>(s.quantity());
   };
+  // Integer-valued doubles: the locked scan's left-to-right fold and the
+  // morsel merge cannot differ by association.
+  double locked_sum = 0;
+  double locked_avg = 0;
+  Locked([&](Transaction& txn) -> Status {
+    ODE_ASSIGN_OR_RETURN(locked_sum, Sum<StockItem>(
+                                         filtered(ForAll<StockItem>(txn)),
+                                         txn, quantity));
+    ODE_ASSIGN_OR_RETURN(locked_avg, Avg<StockItem>(
+                                         filtered(ForAll<StockItem>(txn)),
+                                         txn, quantity));
+    return Status::OK();
+  });
+  EXPECT_EQ(locked_sum, 3.0 * (333 * 334 / 2));  // 0 + 3 + ... + 999
 
-  // Integer-valued doubles: parallel re-association cannot change the sum.
+  auto snap = ASSERT_OK_AND_UNWRAP((*db_)->BeginSnapshot());
   double serial_sum = ASSERT_OK_AND_UNWRAP(
       Sum<StockItem>(filtered(ForAll<StockItem>(*snap)), *snap, quantity));
   double parallel_sum = ASSERT_OK_AND_UNWRAP(Sum<StockItem>(
       filtered(ForAll<StockItem>(*snap).Parallel()), *snap, quantity));
+  EXPECT_EQ(serial_sum, locked_sum);
   EXPECT_EQ(parallel_sum, serial_sum);
 
   double serial_avg = ASSERT_OK_AND_UNWRAP(
       Avg<StockItem>(filtered(ForAll<StockItem>(*snap)), *snap, quantity));
   double parallel_avg = ASSERT_OK_AND_UNWRAP(Avg<StockItem>(
       filtered(ForAll<StockItem>(*snap).Parallel()), *snap, quantity));
-  EXPECT_DOUBLE_EQ(parallel_avg, serial_avg);
+  EXPECT_EQ(serial_avg, locked_avg);
+  EXPECT_EQ(parallel_avg, serial_avg);
 
   // Exercise the worker-side predicate + merged counters through a counted
   // scan as well.
@@ -136,24 +174,40 @@ TEST_F(ParallelQueryTest, FilteredAggregatesMatchSerial) {
 }
 
 // MinBy/MaxBy under ties: every item shares the key, so "the" extremum is
-// whichever object the serial scan visits first — the parallel merge must
-// pick the same one (strict < in fold and ascending slot merge).
+// whichever object the locked scan visits first — the morsel merge, inline
+// or parallel, must pick the same one (strict comparison in fold and
+// ascending slot merge).
 TEST_F(ParallelQueryTest, MinMaxTiesResolveLikeSerial) {
   Open(/*query_threads=*/4);
   Seed(700);
+  auto constant = [](const StockItem&) { return 7; };
+  Ref<StockItem> locked_min;
+  Ref<StockItem> locked_max;
+  Locked([&](Transaction& txn) -> Status {
+    ODE_ASSIGN_OR_RETURN(locked_min, (MinBy<StockItem, int>(
+                                         ForAll<StockItem>(txn), txn,
+                                         constant)));
+    ODE_ASSIGN_OR_RETURN(locked_max, (MaxBy<StockItem, int>(
+                                         ForAll<StockItem>(txn), txn,
+                                         constant)));
+    return Status::OK();
+  });
+  EXPECT_EQ(locked_min.oid(), refs_.front().oid());
+  EXPECT_EQ(locked_max.oid(), refs_.front().oid());
 
   auto snap = ASSERT_OK_AND_UNWRAP((*db_)->BeginSnapshot());
-  auto constant = [](const StockItem&) { return 7; };
   auto serial_min = ASSERT_OK_AND_UNWRAP(
       (MinBy<StockItem, int>(ForAll<StockItem>(*snap), *snap, constant)));
   auto parallel_min = ASSERT_OK_AND_UNWRAP((MinBy<StockItem, int>(
       ForAll<StockItem>(*snap).Parallel(), *snap, constant)));
+  EXPECT_EQ(serial_min.oid(), locked_min.oid());
   EXPECT_EQ(parallel_min.oid(), serial_min.oid());
 
   auto serial_max = ASSERT_OK_AND_UNWRAP(
       (MaxBy<StockItem, int>(ForAll<StockItem>(*snap), *snap, constant)));
   auto parallel_max = ASSERT_OK_AND_UNWRAP((MaxBy<StockItem, int>(
       ForAll<StockItem>(*snap).Parallel(), *snap, constant)));
+  EXPECT_EQ(serial_max.oid(), locked_max.oid());
   EXPECT_EQ(parallel_max.oid(), serial_max.oid());
   ASSERT_OK(snap->Commit());
 }
@@ -300,6 +354,112 @@ TEST_F(ParallelQueryTest, IneligibleLoopsFallBackSerial) {
   EXPECT_EQ(loop.exec_stats().workers, 0u);
   EXPECT_EQ(fallbacks->value(), before + 1);
   ASSERT_OK(snap->Commit());
+}
+
+// With no query pool every snapshot scan runs its morsels inline in the
+// caller's transaction. Persons and Students under WithDerived() span three
+// morsels over two clusters; a delete and an insert committed after the
+// snapshot's cut must not show, so every answer equals a locked scan taken
+// before them. A Parallel() request there runs inline too and counts one
+// fallback.
+TEST_F(ParallelQueryTest, InlineScanWithoutPoolMatchesLockedScanAtCut) {
+  DatabaseOptions options = TestDb::FastOptions();
+  options.engine.query_threads = 0;
+  db_ = std::make_unique<TestDb>(options);
+  ASSERT_EQ((*db_)->query_pool(), nullptr);
+  ASSERT_OK((*db_)->CreateCluster<Person>());
+  ASSERT_OK((*db_)->CreateCluster<Student>());
+  // 600 Persons fill two morsels of their cluster, 300 Students one. Ages
+  // cycle so MinBy meets ties; incomes are whole numbers so sums are exact.
+  std::vector<Ref<Person>> people;
+  for (int start = 0; start < 900; start += 300) {
+    Locked([&](Transaction& txn) -> Status {
+      for (int i = start; i < start + 300; i++) {
+        const int age = 20 + i % 40;
+        if (i < 600) {
+          ODE_ASSIGN_OR_RETURN(Ref<Person> p, txn.New<Person>("p", age, i));
+          people.push_back(p);
+        } else {
+          ODE_RETURN_IF_ERROR(txn.New<Student>("s", age, i, 3.0).status());
+        }
+      }
+      return Status::OK();
+    });
+  }
+  auto everyone = [](Transaction& txn) {
+    ForAll<Person> loop(txn);
+    loop.WithDerived();
+    return loop;
+  };
+  auto income = [](const Person& p) { return p.income(); };
+  auto age = [](const Person& p) { return p.age(); };
+
+  std::vector<Ref<Person>> want_refs;
+  size_t want_count = 0;
+  double want_sum = 0;
+  Ref<Person> want_min;
+  Locked([&](Transaction& txn) -> Status {
+    ODE_ASSIGN_OR_RETURN(want_refs, everyone(txn).Collect());
+    ODE_ASSIGN_OR_RETURN(want_count, everyone(txn).Count());
+    ODE_ASSIGN_OR_RETURN(want_sum, Sum<Person>(everyone(txn), txn, income));
+    ODE_ASSIGN_OR_RETURN(want_min,
+                         (MinBy<Person, int>(everyone(txn), txn, age)));
+    return Status::OK();
+  });
+  ASSERT_EQ(want_refs.size(), 900u);
+  EXPECT_EQ(want_count, 900u);
+  EXPECT_EQ(want_sum, 899.0 * 900 / 2);
+  EXPECT_EQ(want_min.oid(), people.front().oid());  // first of the age-20s
+
+  auto snap = ASSERT_OK_AND_UNWRAP((*db_)->BeginSnapshot());
+  // After the cut: the MinBy winner goes, and a Student that would win and
+  // would shift the sum comes in.
+  std::thread writer([&] {
+    Locked([&](Transaction& txn) -> Status {
+      ODE_RETURN_IF_ERROR(txn.Delete(people.front()));
+      return txn.New<Student>("late", 1, 1e6, 4.0).status();
+    });
+  });
+  writer.join();
+
+  const Counter* fallbacks = (*db_)->core_metrics().parallel_fallbacks;
+  const uint64_t before = fallbacks->value();
+  ForAll<Person> inline_loop = everyone(*snap);
+  auto got = ASSERT_OK_AND_UNWRAP(inline_loop.Collect());
+  ASSERT_EQ(got.size(), want_refs.size());
+  for (size_t i = 0; i < want_refs.size(); i++) {
+    EXPECT_EQ(got[i].oid(), want_refs[i].oid()) << "at " << i;
+  }
+  EXPECT_EQ(inline_loop.exec_stats().clusters, 2u);
+  EXPECT_EQ(inline_loop.exec_stats().workers, 0u);
+  size_t count = ASSERT_OK_AND_UNWRAP(everyone(*snap).Count());
+  EXPECT_EQ(count, want_count);
+  double sum =
+      ASSERT_OK_AND_UNWRAP(Sum<Person>(everyone(*snap), *snap, income));
+  EXPECT_EQ(sum, want_sum);
+  auto min = ASSERT_OK_AND_UNWRAP(
+      (MinBy<Person, int>(everyone(*snap), *snap, age)));
+  EXPECT_EQ(min.oid(), want_min.oid());
+  EXPECT_EQ(fallbacks->value(), before);  // nothing asked for the pool
+
+  ForAll<Person> parallel = everyone(*snap);
+  parallel.Parallel();
+  EXPECT_FALSE(parallel.WillRunParallel());
+  auto parallel_refs = ASSERT_OK_AND_UNWRAP(parallel.Collect());
+  EXPECT_EQ(parallel_refs.size(), want_refs.size());
+  EXPECT_EQ(parallel.exec_stats().workers, 0u);
+  EXPECT_EQ(fallbacks->value(), before + 1);
+  ASSERT_OK(snap->Commit());
+
+  // A snapshot minted after the writer sees both changes.
+  auto after = ASSERT_OK_AND_UNWRAP((*db_)->BeginSnapshot());
+  auto late_min = ASSERT_OK_AND_UNWRAP(
+      (MinBy<Person, int>(everyone(*after), *after, age)));
+  auto late = ASSERT_OK_AND_UNWRAP(after->Read(late_min));
+  EXPECT_EQ(late->name(), "late");
+  size_t after_count = ASSERT_OK_AND_UNWRAP(everyone(*after).Count());
+  EXPECT_EQ(after_count, want_count);  // one deleted, one inserted
+  ASSERT_OK(after->Commit());
 }
 
 // Degenerate shapes: an empty cluster yields an empty result (no workers

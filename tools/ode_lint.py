@@ -70,17 +70,12 @@ import os
 import re
 import sys
 
-# Tokenize-aware comment/string stripping shared with ode_analyzer. The
-# lexer handles what the old regex state machine could not: raw string
-# literals (R"(...)" spanning lines) and digit separators (1'000, which the
-# old stripper misread as an unterminated char literal, blanking real code
-# until the next quote).
+# Tokenize-aware comment/string stripping shared with ode_analyzer, whose
+# lexer sits beside this tool: it handles raw string literals (R"(...)"
+# spanning lines) and digit separators (1'000) correctly.
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "ode_analyzer"))
-try:
-    import cxx_lexer
-except ImportError:  # standalone copy of this file: degrade to the legacy strip
-    cxx_lexer = None
+import cxx_lexer  # noqa: E402
 
 CXX_EXTS = (".h", ".cc")
 ALLOW_RE = re.compile(r"//\s*ode-lint:\s*allow\(([a-z\-]+(?:\s*,\s*[a-z\-]+)*)\)")
@@ -107,74 +102,8 @@ def allowed_rules(line):
 def strip_cxx_noise(text):
     """Blanks out comments and string/char literals, preserving line structure
     so reported line numbers stay true. ode-lint: allow(...) markers are
-    honored *before* stripping (they live in comments).
-
-    Delegates to the shared tokenize-aware lexer when available (correct on
-    raw strings and digit separators); the legacy state machine below is the
-    standalone fallback."""
-    if cxx_lexer is not None:
-        return cxx_lexer.strip_to_code(text)
-    return _strip_cxx_noise_legacy(text)
-
-
-def _strip_cxx_noise_legacy(text):
-    out = []
-    i, n = 0, len(text)
-    state = "code"  # code | line_comment | block_comment | string | char
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if state == "code":
-            if c == "/" and nxt == "/":
-                state = "line_comment"
-                out.append("  ")
-                i += 2
-                continue
-            if c == "/" and nxt == "*":
-                state = "block_comment"
-                out.append("  ")
-                i += 2
-                continue
-            if c == '"':
-                state = "string"
-                out.append(" ")
-                i += 1
-                continue
-            if c == "'":
-                state = "char"
-                out.append(" ")
-                i += 1
-                continue
-            out.append(c)
-        elif state == "line_comment":
-            if c == "\n":
-                state = "code"
-                out.append(c)
-            else:
-                out.append(" ")
-        elif state == "block_comment":
-            if c == "*" and nxt == "/":
-                state = "code"
-                out.append("  ")
-                i += 2
-                continue
-            out.append("\n" if c == "\n" else " ")
-        elif state in ("string", "char"):
-            quote = '"' if state == "string" else "'"
-            if c == "\\":
-                out.append("  ")
-                i += 2
-                continue
-            if c == quote:
-                state = "code"
-                out.append(" ")
-            elif c == "\n":  # unterminated; bail to keep line structure
-                state = "code"
-                out.append(c)
-            else:
-                out.append(" ")
-        i += 1
-    return "".join(out)
+    honored *before* stripping (they live in comments)."""
+    return cxx_lexer.strip_to_code(text)
 
 
 # --- Rule: mutex-guarded & raw-mutex ---------------------------------------

@@ -1,14 +1,12 @@
 #!/usr/bin/env python3
 """Self-test for tools/ode_lint.py.
 
-Pins down the tokenize-aware stripper: the legacy regex state machine
-misread raw string literals (an embedded `"` ended the literal early) and
-digit separators (`1'000` opened a phantom char literal), leaking comment
-or string text into the "code" channel where the storage/server mutex
-rules then fired on mutex names that were never declared. Each regression
-case asserts both directions: the legacy stripper reproduces the false
-positive, the tokenize-aware stripper does not — and real violations still
-fire through the new stripper.
+Pins down the tokenize-aware stripper (ode_analyzer's shared lexer): raw
+string literals (an embedded `"` must not end the literal early) and digit
+separators (`1'000` must not open a phantom char literal) must not leak
+comment or string text into the "code" channel, where the storage/server
+mutex rules would fire on mutex names that were never declared — and real
+violations must still fire through it.
 
 pytest-style: every `test_*` function is collected and run. No external
 dependencies.
@@ -25,17 +23,17 @@ sys.path.insert(0, HERE)
 import ode_lint  # noqa: E402
 
 # A raw string whose body embeds quotes around a mutex-shaped declaration.
-# The legacy stripper treats the first embedded `"` as end-of-string, so
-# `Mutex smuggled_mu;` leaks into the code channel.
+# A stripper that treats the first embedded `"` as end-of-string leaks
+# `Mutex smuggled_mu;` into the code channel.
 RAW_STRING_SRC = '''\
 struct Help {
   const char* text = R"(usage: "Mutex smuggled_mu;" is not a declaration)";
 };
 '''
 
-# A digit separator opens a phantom char literal under the legacy stripper;
-# it closes at the apostrophe in "don't", exposing the rest of that line's
-# comment (including `Mutex fake_mu;`) as code.
+# A stripper that reads the digit separator as opening a char literal closes
+# it at the apostrophe in "don't", exposing the rest of that line's comment
+# (including `Mutex fake_mu;`) as code.
 DIGIT_SEP_SRC = """\
 struct Limits {
   int backlog = 1'000;  // don't write Mutex fake_mu; here (docs/SERVER.md)
@@ -50,55 +48,35 @@ struct Rogue {
 """
 
 
-def run_rule(check, path, src, stripper):
+def run_rule(check, path, src):
     findings = []
-    stripped = stripper(src)
+    stripped = ode_lint.strip_cxx_noise(src)
     check(path, src.splitlines(), stripped.splitlines(), findings)
     return findings
 
 
-def test_legacy_stripper_reproduces_raw_string_false_positive():
-    findings = run_rule(ode_lint.check_storage_mutexes,
-                        "src/storage/help.h", RAW_STRING_SRC,
-                        ode_lint._strip_cxx_noise_legacy)
-    assert any("smuggled_mu" in f.msg for f in findings), \
-        "expected the legacy stripper to leak the raw-string body"
-
-
 def test_raw_string_content_is_not_code():
     findings = run_rule(ode_lint.check_storage_mutexes,
-                        "src/storage/help.h", RAW_STRING_SRC,
-                        ode_lint.strip_cxx_noise)
+                        "src/storage/help.h", RAW_STRING_SRC)
     assert not findings, [f.msg for f in findings]
-
-
-def test_legacy_stripper_reproduces_digit_separator_false_positive():
-    findings = run_rule(ode_lint.check_server_mutexes,
-                        "src/server/limits.h", DIGIT_SEP_SRC,
-                        ode_lint._strip_cxx_noise_legacy)
-    assert any("fake_mu" in f.msg for f in findings), \
-        "expected the legacy stripper to leak the comment text"
 
 
 def test_digit_separator_comment_is_not_code():
     findings = run_rule(ode_lint.check_server_mutexes,
-                        "src/server/limits.h", DIGIT_SEP_SRC,
-                        ode_lint.strip_cxx_noise)
+                        "src/server/limits.h", DIGIT_SEP_SRC)
     assert not findings, [f.msg for f in findings]
 
 
 def test_real_storage_mutex_still_fires():
     findings = run_rule(ode_lint.check_storage_mutexes,
-                        "src/storage/rogue.h", REAL_VIOLATION_SRC,
-                        ode_lint.strip_cxx_noise)
+                        "src/storage/rogue.h", REAL_VIOLATION_SRC)
     assert any("extra_mu_" in f.msg for f in findings), \
         "the tokenize-aware stripper must not hide real declarations"
 
 
 def test_real_server_mutex_still_fires():
     findings = run_rule(ode_lint.check_server_mutexes,
-                        "src/server/rogue.h", REAL_VIOLATION_SRC,
-                        ode_lint.strip_cxx_noise)
+                        "src/server/rogue.h", REAL_VIOLATION_SRC)
     assert any("extra_mu_" in f.msg for f in findings)
 
 
@@ -112,16 +90,14 @@ struct Pool {
 
 def test_adaptive_mutex_is_covered_by_storage_mutex():
     findings = run_rule(ode_lint.check_storage_mutexes,
-                        "src/storage/pool.h", ADAPTIVE_MUTEX_SRC,
-                        ode_lint.strip_cxx_noise)
+                        "src/storage/pool.h", ADAPTIVE_MUTEX_SRC)
     assert any("latch" in f.msg for f in findings), \
         "an unlisted AdaptiveMutex in src/storage/ must be reported"
 
 
 def test_adaptive_mutex_is_covered_by_mutex_guarded():
     findings = run_rule(ode_lint.check_mutexes,
-                        "src/storage/pool.h", ADAPTIVE_MUTEX_SRC,
-                        ode_lint.strip_cxx_noise)
+                        "src/storage/pool.h", ADAPTIVE_MUTEX_SRC)
     assert any(f.rule == "mutex-guarded" and "latch" in f.msg
                for f in findings), [f.msg for f in findings]
 
@@ -129,7 +105,7 @@ def test_adaptive_mutex_is_covered_by_mutex_guarded():
 def test_inline_allow_still_honored():
     src = "struct S {\n  Mutex ok_mu_;  // ode-lint: allow(storage-mutex)\n};\n"
     findings = run_rule(ode_lint.check_storage_mutexes,
-                        "src/storage/s.h", src, ode_lint.strip_cxx_noise)
+                        "src/storage/s.h", src)
     assert not findings, [f.msg for f in findings]
 
 
