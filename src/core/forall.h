@@ -3,9 +3,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/transaction.h"
@@ -29,12 +31,16 @@ namespace ode {
 ///  * `forall (p in person*)` — WithDerived() also iterates the clusters of
 ///    all derived classes (§3.1.1), yielding base-typed refs;
 ///  * iteration covers objects *inserted during the iteration* (§3.2, the
-///    fixpoint-query facility) when no `by` ordering is requested: a locked
-///    scan keeps re-checking the extent until a full pass finds nothing
-///    new (a snapshot's extent is frozen, so its morsel scan makes one
-///    pass);
+///    fixpoint-query facility) when no `by` ordering is requested: after
+///    the extent, a locked scan visits what its body created, in creation
+///    order, until the body creates nothing more (a snapshot cannot
+///    insert);
 ///  * ViaIndex* — an index access path replacing the full scan (the query
 ///    optimization §3 anticipates).
+///
+/// Every plain scan, locked or snapshot, walks the object table in
+/// ScanMorsel: page-aligned morsels, one Transaction::ScanHeads call each,
+/// inline or (a snapshot under Parallel()) on query-pool workers.
 template <typename T>
 class ForAll {
  public:
@@ -45,7 +51,7 @@ class ForAll {
   struct ExecStats {
     std::string access_path;      ///< scan | index-exact | index-range | oid-list
     size_t clusters = 0;          ///< clusters visited (scan path)
-    size_t rounds = 0;            ///< worklist passes (scan path, §3.2)
+    size_t rounds = 0;            ///< scan passes: extent (+ §3.2 inserts)
     size_t index_candidates = 0;  ///< oids yielded by the index / oid list
     size_t rows_scanned = 0;      ///< objects deserialized and tested
     size_t rows_returned = 0;     ///< objects passing every predicate
@@ -141,57 +147,61 @@ class ForAll {
   /// True when the next execution will run its morsels on pool workers.
   bool WillRunParallel() const {
     QueryPool* pool = txn_->db().query_pool();
-    return parallel_ && SnapshotScan() && pool != nullptr &&
+    return parallel_ && txn_->snapshot() && ScanPath() && pool != nullptr &&
            pool->thread_count() > 0;
   }
 
   /// Folds every matching object through `step(acc, ref, obj)` into
-  /// accumulator slots returned in scan order. A snapshot transaction on the
-  /// plain scan path gets one slot per morsel — page-aligned cuts of each
-  /// cluster's entry range, folded on pool workers when WillRunParallel()
-  /// and inline otherwise — so the slots, and any ordered merge of them,
-  /// are the same at every width. Every other path folds left to right into
-  /// a single slot. Collect() concatenates the slots, the aggregate helpers
-  /// merge them. The `obj` pointer is only valid during the `step` call.
-  /// Busy when the pool cannot admit the job.
+  /// accumulator slots returned in scan order. The plain scan path gets one
+  /// slot per morsel — page-aligned cuts of each cluster's entry range,
+  /// folded on pool workers when WillRunParallel() and inline otherwise —
+  /// so the slots, and any ordered merge of them, are the same at every
+  /// width; a locked scan adds a last slot for the objects created during
+  /// the scan (§3.2). Index and oid-list paths fold left to right into a
+  /// single slot. The aggregate helpers merge the slots. The `obj` pointer
+  /// is only valid during the `step` call. Busy when the pool cannot admit
+  /// the job.
   template <typename A>
   Result<std::vector<A>> Fold(
       const std::function<Status(A&, Ref<T>, const T&)>& step) {
-    if (SnapshotScan()) return ScanSnapshot(step);
-    std::vector<A> slots(1);
-    ODE_RETURN_IF_ERROR(Stream([&](Ref<T> ref) -> Status {
-      ODE_ASSIGN_OR_RETURN(const T* obj, txn_->Read(ref));
-      return step(slots[0], ref, *obj);
-    }));
+    BeginExecution();
+    const uint64_t fetches_at_start = BufferPool::ThreadFetches();
+    Result<std::vector<A>> slots = ScanPath() ? Scan(step) : ScanOids(step);
+    if (!slots.ok()) return slots;
+    // Workers' fetches are already in; Do/Each bodies' are kept out.
+    stats_.pool_fetches +=
+        BufferPool::ThreadFetches() - fetches_at_start - body_fetches_;
+    FlushStats();
     return slots;
   }
 
   /// Runs `body` for each matching object. Stops on the first error.
   Status Do(const std::function<Status(Ref<T>)>& body) {
-    if (less_) {
-      std::vector<Ref<T>> refs;
-      ODE_RETURN_IF_ERROR(CollectInto(&refs, /*sorted=*/true));
-      for (const auto& ref : refs) {
-        ODE_RETURN_IF_ERROR(body(ref));
-      }
-      return Status::OK();
-    }
-    return Stream(body);
+    return Visit([&](Ref<T> ref, const T&) { return body(ref); });
   }
 
   /// Convenience: body with the loaded object, no Status plumbing.
   Status Each(const std::function<void(Ref<T>, const T&)>& body) {
-    return Do([&](Ref<T> ref) -> Status {
-      ODE_ASSIGN_OR_RETURN(const T* obj, txn_->Read(ref));
-      body(ref, *obj);
+    return Visit([&](Ref<T> ref, const T& obj) {
+      body(ref, obj);
       return Status::OK();
     });
   }
 
   /// Materializes matching refs (ordered if By was given).
   Result<std::vector<Ref<T>>> Collect() {
+    ODE_ASSIGN_OR_RETURN(
+        std::vector<std::vector<Ref<T>>> slots,
+        Fold<std::vector<Ref<T>>>(
+            [](std::vector<Ref<T>>& acc, Ref<T> ref, const T&) -> Status {
+              acc.push_back(ref);
+              return Status::OK();
+            }));
     std::vector<Ref<T>> refs;
-    ODE_RETURN_IF_ERROR(CollectInto(&refs, static_cast<bool>(less_)));
+    for (const std::vector<Ref<T>>& slot : slots) {
+      refs.insert(refs.end(), slot.begin(), slot.end());
+    }
+    if (less_) ODE_RETURN_IF_ERROR(SortRefs(&refs));
     return refs;
   }
 
@@ -229,22 +239,24 @@ class ForAll {
   const ExecStats& exec_stats() const { return stats_; }
 
   Result<size_t> Count() {
+    ODE_ASSIGN_OR_RETURN(std::vector<size_t> counts,
+                         Fold<size_t>([](size_t& n, Ref<T>, const T&) {
+                           n++;
+                           return Status::OK();
+                         }));
     size_t n = 0;
-    ODE_RETURN_IF_ERROR(Stream([&](Ref<T>) {
-      n++;
-      return Status::OK();
-    }));
+    for (size_t c : counts) n += c;
     return n;
   }
 
  private:
   enum class IndexMode { kNone, kExact, kRange };
 
-  /// Entries per morsel: four 127-entry object-table pages. Page-aligned
-  /// cuts mean no entry page is ever split between workers, and four pages
-  /// is fine-grained enough that the shared cursor balances skewed
-  /// predicates across the pool.
-  static constexpr uint32_t kMorselEntries = 4 * 127;
+  /// Entries per morsel: four object-table entry pages. Page-aligned cuts
+  /// mean no entry page is ever split between workers, and four pages is
+  /// fine-grained enough that the shared cursor balances skewed predicates
+  /// across the pool.
+  static constexpr uint32_t kMorselEntries = 4 * ObjectTable::kEntriesPerPage;
 
   /// Entry range [lo, hi) of one cluster's object table.
   struct Morsel {
@@ -253,40 +265,46 @@ class ForAll {
     LocalOid hi;
   };
 
-  /// A snapshot transaction on the plain scan path: its extent is frozen,
-  /// so the morsel scan covers it in one pass.
-  bool SnapshotScan() const {
-    return txn_->snapshot() && !use_explicit_ &&
-           index_mode_ == IndexMode::kNone;
+  /// The plain scan path: no index and no explicit oid list.
+  bool ScanPath() const {
+    return !use_explicit_ && index_mode_ == IndexMode::kNone;
   }
+
+  /// An accumulator-free slot, for folds that only run a body.
+  struct Unit {};
 
   /// Starts an execution: fresh counters, and a Parallel() request the
   /// loop cannot honor counted as a fallback.
   void BeginExecution() {
     stats_ = ExecStats{};
+    body_fetches_ = 0;
     executed_ = true;
     if (parallel_ && !WillRunParallel()) {
       txn_->db().core_metrics().parallel_fallbacks->Add();
     }
   }
 
-  /// The snapshot scan: cuts every cluster's entry range into morsels and
+  /// The plain scan: cuts every cluster's entry range into morsels and
   /// folds each into its own slot — on pool workers that each join this
   /// transaction's cut when WillRunParallel(), else inline in this
-  /// transaction.
+  /// transaction. A locked scan then folds what its body created into one
+  /// last slot (§3.2).
   template <typename A>
-  Result<std::vector<A>> ScanSnapshot(
+  Result<std::vector<A>> Scan(
       const std::function<Status(A&, Ref<T>, const T&)>& step) {
-    BeginExecution();
     stats_.access_path = "scan";
     stats_.rounds = 1;
-    const uint64_t fetches_at_start = BufferPool::ThreadFetches();
     Database& db = txn_->db();
     std::vector<ClusterId> clusters;
     ODE_RETURN_IF_ERROR(ResolveClusters(&clusters));
     stats_.clusters = clusters.size();
     std::vector<Morsel> morsels;
+    std::vector<ObjectTable::Head> none;
     for (ClusterId cluster : clusters) {
+      // The empty range walks nothing: it takes a locked scan's S(cluster)
+      // before the extent's end is read, so no other transaction moves it.
+      ODE_ASSIGN_OR_RETURN(uint32_t entries,
+                           txn_->ScanHeads(cluster, 0, 0, &none));
       ODE_ASSIGN_OR_RETURN(PageId root, db.TableRootOf(cluster));
       // Read-ahead the cluster's object-table entry pages in one batched
       // pass; morsel walks then hit warm frames instead of serializing on
@@ -300,17 +318,37 @@ class ForAll {
                                                entry_pages.size()),
             "parallel_scan_prefetch");
       }
-      ODE_ASSIGN_OR_RETURN(uint32_t entries, db.store().NumEntries(root));
       for (uint32_t lo = 0; lo < entries; lo += kMorselEntries) {
         const uint32_t hi = std::min<uint32_t>(lo + kMorselEntries, entries);
         morsels.push_back(Morsel{cluster, lo, hi});
       }
     }
-    std::vector<A> slots(morsels.size());
+    const bool locked = !txn_->snapshot();
+    std::vector<A> slots(morsels.size() + (locked ? 1 : 0));
+    // A locked body's creations since the scan began, created[first..]: the
+    // extent pass skips them wherever they land — past the planned end, in
+    // a freed entry already passed or in a morsel not yet walked — and the
+    // insert pass visits them after it, in creation order. Deleting its own
+    // object frees the entry for the body's next New, so an oid can recur
+    // in the log; only its latest creation is visited.
+    const std::vector<Oid>& created = txn_->created();
+    const size_t first = created.size();
+    size_t indexed = first;  // created[first, indexed) is in `latest`
+    std::unordered_map<uint64_t, size_t> latest;  // oid -> last log index
+    auto latest_of = [&](Oid oid) -> size_t {
+      for (; indexed < created.size(); indexed++) {
+        latest[created[indexed].Pack()] = indexed;
+      }
+      auto it = latest.find(oid.Pack());
+      return it == latest.end() ? SIZE_MAX : it->second;
+    };
+    auto made_in_scan = [&](Oid oid) {
+      return created.size() > first && latest_of(oid) != SIZE_MAX;
+    };
     if (!WillRunParallel()) {
       for (size_t i = 0; i < morsels.size(); i++) {
-        ODE_RETURN_IF_ERROR(
-            ScanMorsel(*txn_, morsels[i], &slots[i], &stats_, step));
+        ODE_RETURN_IF_ERROR(ScanMorsel(*txn_, morsels[i], made_in_scan,
+                                       &slots[i], &stats_, step));
       }
     } else if (!morsels.empty()) {
       QueryPool* pool = db.query_pool();
@@ -331,7 +369,8 @@ class ForAll {
         for (;;) {
           const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
           if (i >= morsels.size()) break;
-          ws = ScanMorsel(*wt, morsels[i], &slots[i], &partials[w], step);
+          ws = ScanMorsel(*wt, morsels[i], [](Oid) { return false; },
+                          &slots[i], &partials[w], step);
           if (!ws.ok()) break;
           // The morsel is folded: drop its objects, so a worker caches one
           // morsel's objects at a time instead of its whole share.
@@ -352,32 +391,38 @@ class ForAll {
       m.parallel_scans->Add();
       m.parallel_morsels->Add(morsels.size());
     }
-    stats_.pool_fetches += BufferPool::ThreadFetches() - fetches_at_start;
-    FlushStats();
+    for (size_t i = first; locked && i < created.size(); i++) {
+      const Oid oid = created[i];  // a copy: the body may grow the log
+      if (latest_of(oid) != i ||
+          std::find(clusters.begin(), clusters.end(), oid.cluster) ==
+              clusters.end()) {
+        continue;
+      }
+      stats_.rounds = 2;
+      ODE_RETURN_IF_ERROR(VisitObject(*txn_, oid, /*skip_missing=*/true,
+                                      &slots.back(), &stats_, step));
+    }
     return slots;
   }
 
-  /// One pass over `morsel` inside snapshot transaction `st` (the caller's,
-  /// or a worker's joined at its cut): walks the morsel's entry pages once
-  /// for its heads and their entries, prefetches the record pages they
-  /// point at in one batch, then reads, filters and folds the
-  /// snapshot-visible objects into `acc`.
-  template <typename A>
-  Status ScanMorsel(Transaction& st, const Morsel& morsel, A* acc,
-                    ExecStats* partial,
+  /// One pass over `morsel` inside transaction `st` (the caller's, or a
+  /// worker's joined at its cut): walks the morsel's entry pages once for
+  /// its heads and their entries, prefetches the record pages they point at
+  /// in one batch, then reads, filters and folds the objects into `acc`,
+  /// passing over those `skip` names.
+  template <typename A, typename Skip>
+  Status ScanMorsel(Transaction& st, const Morsel& morsel, Skip&& skip,
+                    A* acc, ExecStats* partial,
                     const std::function<Status(A&, Ref<T>, const T&)>& step) {
-    Database& db = txn_->db();
-    ODE_ASSIGN_OR_RETURN(PageId root, db.TableRootOf(morsel.cluster));
-    // Tombstoned heads come along: whether an object is visible at the cut
-    // is the read's decision below.
     std::vector<ObjectTable::Head> heads;
-    ODE_RETURN_IF_ERROR(db.store().ScanHeads(
-        root, morsel.lo, morsel.hi, /*include_tombstones=*/true, &heads));
+    ODE_RETURN_IF_ERROR(
+        st.ScanHeads(morsel.cluster, morsel.lo, morsel.hi, &heads).status());
     if (heads.empty()) return Status::OK();
     // Read-ahead the record pages the head entries point at, each run of
     // heads on one page listed once (a snapshot may resolve some objects to
     // older versions on other pages; those fall back to demand reads).
     // Advisory, like the entry-page prefetch.
+    Database& db = txn_->db();
     std::vector<PageId> data_pages;
     for (const ObjectTable::Head& head : heads) {
       const ObjectTable::Entry& entry = head.entry;
@@ -395,20 +440,78 @@ class ForAll {
                    "parallel_scan_prefetch");
     }
     for (const ObjectTable::Head& head : heads) {
-      Ref<T> ref(&db, Oid{morsel.cluster, head.local});
-      Result<const T*> read = st.Read(ref);
-      if (!read.ok()) {
-        // A head whose newest state visible at the cut is "not yet
-        // created" or "deleted" resolves NotFound: not a match.
-        if (read.status().IsNotFound()) continue;
-        return read.status();
-      }
-      partial->rows_scanned++;
-      if (!Matches(*read.value())) continue;
-      partial->rows_returned++;
-      ODE_RETURN_IF_ERROR(step(*acc, ref, *read.value()));
+      const Oid oid{morsel.cluster, head.local};
+      if (skip(oid)) continue;
+      // Missing: invisible at a snapshot's cut, or deleted by the body.
+      ODE_RETURN_IF_ERROR(
+          VisitObject(st, oid, /*skip_missing=*/true, acc, partial, step));
     }
     return Status::OK();
+  }
+
+  /// Reads `oid` in `st`, and folds it into `acc` if it matches.
+  /// `skip_missing` makes a NotFound read no match rather than an error.
+  template <typename A>
+  Status VisitObject(Transaction& st, Oid oid, bool skip_missing, A* acc,
+                     ExecStats* partial,
+                     const std::function<Status(A&, Ref<T>, const T&)>& step) {
+    Ref<T> ref(&st.db(), oid);
+    Result<const T*> read = st.Read(ref);
+    if (!read.ok()) {
+      if (skip_missing && read.status().IsNotFound()) return Status::OK();
+      return read.status();
+    }
+    partial->rows_scanned++;
+    if (!Matches(*read.value())) return Status::OK();
+    partial->rows_returned++;
+    return step(*acc, ref, *read.value());
+  }
+
+  /// The index and oid-list paths: folds the resolved oids left to right
+  /// into one slot.
+  template <typename A>
+  Result<std::vector<A>> ScanOids(
+      const std::function<Status(A&, Ref<T>, const T&)>& step) {
+    stats_.access_path = use_explicit_                      ? "oid-list"
+                         : index_mode_ == IndexMode::kExact ? "index-exact"
+                                                            : "index-range";
+    std::vector<Oid> oids;
+    ODE_RETURN_IF_ERROR(ResolveOidList(&oids));
+    stats_.index_candidates = oids.size();
+    std::vector<A> slots(1);
+    for (const Oid& oid : oids) {
+      // Versioned index entries resolve at the snapshot's cut, so every oid
+      // the scan emits should also resolve as an object read at the same
+      // cut. A snapshot keeps the lenient skip as defense in depth (e.g. an
+      // index caught mid-backfill by a crash).
+      ODE_RETURN_IF_ERROR(VisitObject(*txn_, oid,
+                                      /*skip_missing=*/txn_->snapshot(),
+                                      &slots[0], &stats_, step));
+    }
+    return slots;
+  }
+
+  /// Runs `visit` on each matching object in iteration order. Unordered
+  /// loops stream: the body runs inside the scan, so a locked scan visits
+  /// what its body creates too (§3.2). An ordered loop sorts first, and a
+  /// Parallel() one folds on workers while bodies stay on this thread, so
+  /// both collect the refs and run the bodies afterwards.
+  Status Visit(const std::function<Status(Ref<T>, const T&)>& visit) {
+    if (less_ || WillRunParallel()) {
+      ODE_ASSIGN_OR_RETURN(std::vector<Ref<T>> refs, Collect());
+      for (const Ref<T>& ref : refs) {
+        ODE_ASSIGN_OR_RETURN(const T* obj, txn_->Read(ref));
+        ODE_RETURN_IF_ERROR(visit(ref, *obj));
+      }
+      return Status::OK();
+    }
+    return Fold<Unit>([&](Unit&, Ref<T> ref, const T& obj) -> Status {
+             const uint64_t before = BufferPool::ThreadFetches();
+             Status s = visit(ref, obj);
+             body_fetches_ += BufferPool::ThreadFetches() - before;
+             return s;
+           })
+        .status();
   }
 
   bool Matches(const T& obj) const {
@@ -437,102 +540,6 @@ class ForAll {
       return Status::NotFound(std::string("no cluster for type ") +
                               TypeNameOf<T>());
     }
-    return Status::OK();
-  }
-
-  /// Runs `body` for each matching object. A snapshot scan collects the
-  /// matching refs through the morsel scan first, then runs the body on
-  /// them in scan order (a snapshot body cannot insert, so nothing is
-  /// missed). Every other path streams: index and oid-list paths over
-  /// their resolved oids, and the locked scan as a worklist — clusters are
-  /// re-scanned past their previous high-water marks until a full round
-  /// adds nothing, so objects created by `body` are visited too (§3.2).
-  Status Stream(const std::function<Status(Ref<T>)>& body) {
-    if (SnapshotScan()) {
-      ODE_ASSIGN_OR_RETURN(
-          std::vector<std::vector<Ref<T>>> slots,
-          ScanSnapshot<std::vector<Ref<T>>>(
-              [](std::vector<Ref<T>>& acc, Ref<T> ref, const T&) -> Status {
-                acc.push_back(ref);
-                return Status::OK();
-              }));
-      for (const auto& slot : slots) {
-        for (const Ref<T>& ref : slot) {
-          ODE_RETURN_IF_ERROR(body(ref));
-        }
-      }
-      return Status::OK();
-    }
-    BeginExecution();
-    const uint64_t fetches_at_start = BufferPool::ThreadFetches();
-    uint64_t body_fetches = 0;
-    // Runs the body with its own page fetches kept out of pool_fetches.
-    auto run_body = [&](Ref<T> ref) -> Status {
-      const uint64_t before = BufferPool::ThreadFetches();
-      Status s = body(ref);
-      body_fetches += BufferPool::ThreadFetches() - before;
-      return s;
-    };
-    auto fetches_so_far = [&]() -> size_t {
-      return BufferPool::ThreadFetches() - fetches_at_start - body_fetches;
-    };
-    if (use_explicit_ || index_mode_ != IndexMode::kNone) {
-      stats_.access_path = use_explicit_               ? "oid-list"
-                           : index_mode_ == IndexMode::kExact ? "index-exact"
-                                                              : "index-range";
-      std::vector<Oid> oids;
-      ODE_RETURN_IF_ERROR(ResolveOidList(&oids));
-      stats_.index_candidates = oids.size();
-      for (const Oid& oid : oids) {
-        Ref<T> ref(&txn_->db(), oid);
-        Result<const T*> read = txn_->Read(ref);
-        if (!read.ok()) {
-          // Versioned index entries resolve at the snapshot's cut, so every
-          // oid the scan emits should also resolve as an object read at the
-          // same cut. Keep the lenient skip as defense in depth (e.g. an
-          // index caught mid-backfill by a crash).
-          if (txn_->snapshot() && read.status().IsNotFound()) continue;
-          return read.status();
-        }
-        const T* obj = read.value();
-        stats_.rows_scanned++;
-        if (!Matches(*obj)) continue;
-        stats_.rows_returned++;
-        ODE_RETURN_IF_ERROR(run_body(ref));
-      }
-      stats_.pool_fetches = fetches_so_far();
-      FlushStats();
-      return Status::OK();
-    }
-    stats_.access_path = "scan";
-    std::vector<ClusterId> clusters;
-    ODE_RETURN_IF_ERROR(ResolveClusters(&clusters));
-    stats_.clusters = clusters.size();
-    std::vector<LocalOid> high_water(clusters.size(), 0);
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      stats_.rounds++;
-      for (size_t i = 0; i < clusters.size(); i++) {
-        while (true) {
-          LocalOid local;
-          bool found = false;
-          ODE_RETURN_IF_ERROR(
-              txn_->NextInCluster(clusters[i], high_water[i], &local, &found));
-          if (!found) break;
-          high_water[i] = local + 1;
-          progressed = true;
-          Ref<T> ref(&txn_->db(), Oid{clusters[i], local});
-          ODE_ASSIGN_OR_RETURN(const T* obj, txn_->Read(ref));
-          stats_.rows_scanned++;
-          if (!Matches(*obj)) continue;
-          stats_.rows_returned++;
-          ODE_RETURN_IF_ERROR(run_body(ref));
-        }
-      }
-    }
-    stats_.pool_fetches = fetches_so_far();
-    FlushStats();
     return Status::OK();
   }
 
@@ -578,30 +585,25 @@ class ForAll {
     return indexes.ScanRange(index_, index_lo_, index_hi_, oids);
   }
 
-  Status CollectInto(std::vector<Ref<T>>* refs, bool sorted) {
-    ODE_RETURN_IF_ERROR(Stream([&](Ref<T> ref) {
-      refs->push_back(ref);
-      return Status::OK();
-    }));
-    if (sorted && less_) {
-      // Objects are in the transaction cache; load pointers for comparison.
-      // Pin the cache: with max_cached_objects set, an eviction mid-loop
-      // would invalidate earlier pointers in `keyed`.
-      Transaction::CachePin pin(*txn_);
-      std::vector<std::pair<Ref<T>, const T*>> keyed;
-      keyed.reserve(refs->size());
-      for (const auto& ref : *refs) {
-        ODE_ASSIGN_OR_RETURN(const T* obj, txn_->Read(ref));
-        keyed.emplace_back(ref, obj);
-      }
-      std::stable_sort(keyed.begin(), keyed.end(),
-                       [this](const auto& a, const auto& b) {
-                         return less_(*a.second, *b.second);
-                       });
-      if (descending_) std::reverse(keyed.begin(), keyed.end());
-      refs->clear();
-      for (const auto& [ref, obj] : keyed) refs->push_back(ref);
+  /// Orders `refs` by By()'s key (stable, so ties keep scan order).
+  Status SortRefs(std::vector<Ref<T>>* refs) {
+    // Objects are in the transaction cache; load pointers for comparison.
+    // Pin the cache: with max_cached_objects set, an eviction mid-loop
+    // would invalidate earlier pointers in `keyed`.
+    Transaction::CachePin pin(*txn_);
+    std::vector<std::pair<Ref<T>, const T*>> keyed;
+    keyed.reserve(refs->size());
+    for (const auto& ref : *refs) {
+      ODE_ASSIGN_OR_RETURN(const T* obj, txn_->Read(ref));
+      keyed.emplace_back(ref, obj);
     }
+    std::stable_sort(keyed.begin(), keyed.end(),
+                     [this](const auto& a, const auto& b) {
+                       return less_(*a.second, *b.second);
+                     });
+    if (descending_) std::reverse(keyed.begin(), keyed.end());
+    refs->clear();
+    for (const auto& [ref, obj] : keyed) refs->push_back(ref);
     return Status::OK();
   }
 
@@ -619,6 +621,7 @@ class ForAll {
   bool use_explicit_ = false;
   std::vector<Oid> explicit_oids_;
   ExecStats stats_;
+  uint64_t body_fetches_ = 0;  ///< Pool fetches by Do/Each bodies this run.
   bool executed_ = false;  ///< An execution has run; stats_ holds its counters.
 };
 

@@ -511,6 +511,7 @@ Result<Oid> Transaction::InsertRaw(ClusterId cluster, const Slice& bytes) {
   ODE_RETURN_IF_ERROR(
       db_->store().Insert(root, type_entry->code, bytes, &local));
   const Oid oid{cluster, local};
+  created_.push_back(oid);
   ODE_RETURN_IF_ERROR(LockObject(oid, concur::LockMode::kExclusive));
   return oid;
 }
@@ -826,20 +827,12 @@ Status Transaction::CreateIndexByName(const std::string& index_name,
   ODE_RETURN_IF_ERROR(
       db_->indexes().CreateIndex(index_name, cluster, extractor));
   // Backfill existing objects.
-  LocalOid at = 0;
-  while (true) {
-    bool found = false;
-    LocalOid local;
-    ODE_RETURN_IF_ERROR(NextInCluster(cluster, at, &local, &found));
-    if (!found) break;
-    const Oid oid{cluster, local};
+  return ForEachHead(cluster, 0, [&](const ObjectTable::Head& head, bool*) {
+    const Oid oid{cluster, head.local};
     Cached* cached = nullptr;
     ODE_RETURN_IF_ERROR(LoadObject(oid, kGenericVersion, &cached));
-    ODE_RETURN_IF_ERROR(db_->indexes().AddEntry(
-        index_name, extractor(cached->obj), oid));
-    at = local + 1;
-  }
-  return Status::OK();
+    return db_->indexes().AddEntry(index_name, extractor(cached->obj), oid);
+  });
 }
 
 // --- Triggers ------------------------------------------------------------------------
@@ -918,20 +911,27 @@ size_t Transaction::ActiveTriggerCount(const RefBase& ref) const {
 
 // --- Scan support -----------------------------------------------------------------------
 
-Status Transaction::NextInCluster(ClusterId cluster, LocalOid start,
-                                  LocalOid* local, bool* found) {
+Result<uint32_t> Transaction::ScanHeads(ClusterId cluster, LocalOid lo,
+                                        LocalOid hi,
+                                        std::vector<ObjectTable::Head>* heads) {
+  if (!open_) return Status::TransactionAborted("transaction is closed");
   ODE_ASSIGN_OR_RETURN(PageId root, db_->TableRootOf(cluster));
-  if (snapshot_) {
-    // No cluster lock: the scan enumerates tombstones too and each object's
-    // visibility is resolved against the snapshot by the read that follows
-    // (an older snapshot may still see content behind a tombstone).
-    return db_->store().NextHead(root, start, local, found,
-                                 /*include_tombstones=*/true);
+  if (!snapshot_) {
+    ODE_RETURN_IF_ERROR(LockCluster(cluster, concur::LockMode::kShared));
   }
-  // Scan stability: block concurrent insert/delete into the cluster (which
-  // take it exclusive) for the rest of this transaction.
-  ODE_RETURN_IF_ERROR(LockCluster(cluster, concur::LockMode::kShared));
-  return db_->store().NextHead(root, start, local, found);
+  return db_->store().ScanHeads(root, lo, hi,
+                                /*include_tombstones=*/snapshot_, heads);
+}
+
+Status Transaction::ForEachHead(ClusterId cluster, LocalOid start,
+                                const ObjectStore::HeadVisitor& visit) {
+  if (!open_) return Status::TransactionAborted("transaction is closed");
+  ODE_ASSIGN_OR_RETURN(PageId root, db_->TableRootOf(cluster));
+  if (!snapshot_) {
+    ODE_RETURN_IF_ERROR(LockCluster(cluster, concur::LockMode::kShared));
+  }
+  return db_->store().ForEachHead(root, start,
+                                  /*include_tombstones=*/snapshot_, visit);
 }
 
 Status Transaction::DropIndex(const std::string& name) {

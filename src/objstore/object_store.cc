@@ -34,19 +34,13 @@ Status ObjectStore::DropTable(PageId table_root) {
   // Physically purge every head (frees records and version chains,
   // including tombstones and retained images — the core layer gates cluster
   // drops on "no active snapshots", so nothing can still need them).
-  ObjectTable purge_table(engine_, table_root);
-  LocalOid at = 0;
-  while (true) {
-    LocalOid local;
-    bool found = false;
-    ODE_RETURN_IF_ERROR(NextHead(table_root, at, &local, &found,
-                                 /*include_tombstones=*/true));
-    if (!found) break;
-    ODE_RETURN_IF_ERROR(PurgeObject(&purge_table, local));
-    at = local + 1;
-  }
-  // The current insert page survives per-record deletion; release it.
   ObjectTable table(engine_, table_root);
+  ODE_RETURN_IF_ERROR(ForEachHead(
+      table_root, 0, /*include_tombstones=*/true,
+      [&](const ObjectTable::Head& head, bool*) {
+        return PurgeObject(&table, head.local);
+      }));
+  // The current insert page survives per-record deletion; release it.
   ODE_ASSIGN_OR_RETURN(PageId current, table.GetCurrentDataPage());
   if (current != kInvalidPageId) {
     ODE_RETURN_IF_ERROR(engine_->FreePage(current));
@@ -465,17 +459,36 @@ Status ObjectStore::GetInfo(PageId table_root, LocalOid local,
 }
 
 Status ObjectStore::NextHead(PageId table_root, LocalOid start,
-                             LocalOid* local, bool* found,
-                             bool include_tombstones) const {
+                             LocalOid* local, bool* found) const {
   ObjectTable table(engine_, table_root);
-  return table.NextHead(start, local, found, include_tombstones);
+  return table.NextHead(start, local, found);
 }
 
-Status ObjectStore::ScanHeads(PageId table_root, LocalOid lo, LocalOid hi,
-                              bool include_tombstones,
-                              std::vector<ObjectTable::Head>* out) const {
+Result<uint32_t> ObjectStore::ScanHeads(
+    PageId table_root, LocalOid lo, LocalOid hi, bool include_tombstones,
+    std::vector<ObjectTable::Head>* out) const {
   ObjectTable table(engine_, table_root);
   return table.ScanHeads(lo, hi, include_tombstones, out);
+}
+
+Status ObjectStore::ForEachHead(PageId table_root, LocalOid start,
+                                bool include_tombstones,
+                                const HeadVisitor& visit) const {
+  constexpr uint64_t kPage = ObjectTable::kEntriesPerPage;
+  ObjectTable table(engine_, table_root);
+  std::vector<ObjectTable::Head> heads;
+  bool stop = false;
+  uint64_t end = kInvalidLocalOid;
+  for (uint64_t lo = start, hi; lo < end && !stop; lo = hi) {
+    hi = std::min<uint64_t>((lo / kPage + 1) * kPage, kInvalidLocalOid);
+    ODE_ASSIGN_OR_RETURN(end, table.ScanHeads(static_cast<LocalOid>(lo),
+                                              static_cast<LocalOid>(hi),
+                                              include_tombstones, &heads));
+    for (size_t i = 0; i < heads.size() && !stop; i++) {
+      ODE_RETURN_IF_ERROR(visit(heads[i], &stop));
+    }
+  }
+  return Status::OK();
 }
 
 Result<uint32_t> ObjectStore::NumEntries(PageId table_root) const {
@@ -610,45 +623,41 @@ Status ObjectStore::PurgeObject(ObjectTable* table, LocalOid local) {
 Status ObjectStore::CollectGarbage(PageId table_root, uint64_t watermark,
                                    GcStats* stats) {
   ObjectTable table(engine_, table_root);
-  LocalOid at = 0;
-  while (true) {
-    LocalOid local;
-    bool found = false;
-    ODE_RETURN_IF_ERROR(
-        table.NextHead(at, &local, &found, /*include_tombstones=*/true));
-    if (!found) break;
-    at = local + 1;
-    ObjectTable::Entry head;
-    ODE_RETURN_IF_ERROR(table.GetEntry(local, &head));
-    if (head.tombstone() && head.commit_seq <= watermark) {
-      // The deletion is visible to every active and future snapshot; the
-      // whole object can go.
-      ODE_RETURN_IF_ERROR(PurgeObject(&table, local));
-      if (stats != nullptr) stats->objects_reclaimed++;
-      continue;
-    }
-    // Reclaim retained images whose successor committed at or before the
-    // watermark: every snapshot that could still run stops its visibility
-    // walk at or above that successor (stamps are non-increasing down the
-    // chain), so the image below it is unreachable.
-    LocalOid succ_local = local;
-    ObjectTable::Entry succ = head;
-    while (succ.prev_version != kInvalidLocalOid) {
-      const LocalOid cand_local = succ.prev_version;
-      ObjectTable::Entry cand;
-      ODE_RETURN_IF_ERROR(table.GetEntry(cand_local, &cand));
-      if (cand.retained() && succ.commit_seq <= watermark) {
-        succ.prev_version = cand.prev_version;
-        ODE_RETURN_IF_ERROR(table.SetEntry(succ_local, succ));
-        ODE_RETURN_IF_ERROR(FreeRecord(&table, cand));
-        ODE_RETURN_IF_ERROR(table.FreeEntry(cand_local));
-        if (stats != nullptr) stats->versions_reclaimed++;
-      } else {
-        succ_local = cand_local;
-        succ = cand;
-      }
-    }
-  }
+  ODE_RETURN_IF_ERROR(ForEachHead(
+      table_root, 0, /*include_tombstones=*/true,
+      [&](const ObjectTable::Head& head_at, bool*) -> Status {
+        const LocalOid local = head_at.local;
+        const ObjectTable::Entry& head = head_at.entry;
+        if (head.tombstone() && head.commit_seq <= watermark) {
+          // The deletion is visible to every active and future snapshot; the
+          // whole object can go.
+          ODE_RETURN_IF_ERROR(PurgeObject(&table, local));
+          if (stats != nullptr) stats->objects_reclaimed++;
+          return Status::OK();
+        }
+        // Reclaim retained images whose successor committed at or before the
+        // watermark: every snapshot that could still run stops its visibility
+        // walk at or above that successor (stamps are non-increasing down the
+        // chain), so the image below it is unreachable.
+        LocalOid succ_local = local;
+        ObjectTable::Entry succ = head;
+        while (succ.prev_version != kInvalidLocalOid) {
+          const LocalOid cand_local = succ.prev_version;
+          ObjectTable::Entry cand;
+          ODE_RETURN_IF_ERROR(table.GetEntry(cand_local, &cand));
+          if (cand.retained() && succ.commit_seq <= watermark) {
+            succ.prev_version = cand.prev_version;
+            ODE_RETURN_IF_ERROR(table.SetEntry(succ_local, succ));
+            ODE_RETURN_IF_ERROR(FreeRecord(&table, cand));
+            ODE_RETURN_IF_ERROR(table.FreeEntry(cand_local));
+            if (stats != nullptr) stats->versions_reclaimed++;
+          } else {
+            succ_local = cand_local;
+            succ = cand;
+          }
+        }
+        return Status::OK();
+      }));
   // A mass delete can leave whole trailing entry pages holding nothing but
   // freed slots; hand them back instead of carrying the slack forever.
   uint32_t released = 0;

@@ -2,6 +2,7 @@
 #define ODE_OBJSTORE_OBJECT_STORE_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -128,19 +129,29 @@ class ObjectStore {
   Status SetDerivation(PageId table_root, LocalOid local,
                        uint32_t parent_vnum);
 
-  /// First allocated head with index >= `start`; *found=false past the end.
-  /// Snapshot scans pass `include_tombstones` and resolve per-object
-  /// visibility via ResolveSnapshot/ReadSnapshot.
+  /// First live (allocated, untombstoned) head with index >= `start`;
+  /// *found=false past the end.
   Status NextHead(PageId table_root, LocalOid start, LocalOid* local,
-                  bool* found, bool include_tombstones = false) const;
+                  bool* found) const;
 
   /// The heads in [lo, hi) with their entries, in one pass over the entry
-  /// pages (ObjectTable::ScanHeads). Parallel snapshot scans pass
-  /// `include_tombstones` and resolve visibility per object, as with
-  /// NextHead.
-  Status ScanHeads(PageId table_root, LocalOid lo, LocalOid hi,
-                   bool include_tombstones,
-                   std::vector<ObjectTable::Head>* out) const;
+  /// pages; returns the table's high-water mark (ObjectTable::ScanHeads).
+  /// Snapshot scans pass `include_tombstones` and resolve visibility per
+  /// object.
+  Result<uint32_t> ScanHeads(PageId table_root, LocalOid lo, LocalOid hi,
+                             bool include_tombstones,
+                             std::vector<ObjectTable::Head>* out) const;
+
+  /// Called per head by ForEachHead; setting *stop ends the walk.
+  using HeadVisitor =
+      std::function<Status(const ObjectTable::Head& head, bool* stop)>;
+
+  /// Visits the heads from index `start` on, in index order, reading one
+  /// entry page of them at a time (ScanHeads), so memory stays one page of
+  /// heads whatever the table's size. The end is re-read with every page:
+  /// `visit` may free or add entries.
+  Status ForEachHead(PageId table_root, LocalOid start,
+                     bool include_tombstones, const HeadVisitor& visit) const;
 
   /// High-water mark of entry indexes for the cluster.
   Result<uint32_t> NumEntries(PageId table_root) const;

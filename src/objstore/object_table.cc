@@ -30,7 +30,9 @@ constexpr uint32_t kDirCap = (kPageSize - kDirStartOff) / 4;  // ids per root
 // Entry page layout: [0] type, [1..7] pad, entries from byte 8.
 constexpr uint32_t kEntryStart = 8;
 constexpr uint32_t kEntrySize = 32;
-constexpr uint32_t kEntriesPerPage = (kPageSize - kEntryStart) / kEntrySize;
+constexpr uint32_t kEntriesPerPage = ObjectTable::kEntriesPerPage;
+static_assert(kEntriesPerPage == (kPageSize - kEntryStart) / kEntrySize,
+              "entry page layout");
 
 void EncodeEntry(char* dst, const ObjectTable::Entry& e) {
   EncodeFixed32(dst + 0, e.page);
@@ -271,10 +273,11 @@ Status ObjectTable::NextHead(LocalOid start, LocalOid* local, bool* found,
   return Status::OK();
 }
 
-Status ObjectTable::ScanHeads(LocalOid lo, LocalOid hi,
-                               bool include_tombstones,
-                               std::vector<Head>* out) const {
+Result<uint32_t> ObjectTable::ScanHeads(LocalOid lo, LocalOid hi,
+                                       bool include_tombstones,
+                                       std::vector<Head>* out) const {
   out->clear();
+  uint32_t num_entries = 0;
   // Walk the root chain once, collecting the entry pages that cover
   // [lo, hi); the first root also carries the high-water mark.
   std::vector<PageId> pages;
@@ -285,8 +288,9 @@ Status ObjectTable::ScanHeads(LocalOid lo, LocalOid hi,
     PageHandle handle;
     ODE_RETURN_IF_ERROR(engine_->GetPageRead(root, &handle));
     if (root == root_) {
-      hi = std::min<LocalOid>(hi, DecodeFixed32(handle.data() + kNumEntriesOff));
-      if (lo >= hi) return Status::OK();
+      num_entries = DecodeFixed32(handle.data() + kNumEntriesOff);
+      hi = std::min<LocalOid>(hi, num_entries);
+      if (lo >= hi) return num_entries;
       last_page = (hi - 1) / kEntriesPerPage;
     }
     const uint32_t dir_count = DecodeFixed32(handle.data() + kDirCountOff);
@@ -322,7 +326,7 @@ Status ObjectTable::ScanHeads(LocalOid lo, LocalOid hi,
       }
     }
   }
-  return Status::OK();
+  return num_entries;
 }
 
 Status ObjectTable::ListStructurePages(std::vector<PageId>* root_pages,

@@ -38,6 +38,9 @@ class ObjectTable {
 
   /// Sentinel parent version for "root of the derivation tree".
   static constexpr uint32_t kNoParentVersion = 0xFFFFFFFFu;
+  /// Entries per entry page (a 4 KiB page: an 8-byte header, then 32-byte
+  /// entries). Scans cut their ranges on these page boundaries.
+  static constexpr uint32_t kEntriesPerPage = 127;
 
   /// Decoded object-table entry.
   struct Entry {
@@ -99,10 +102,11 @@ class ObjectTable {
   /// Every head NextHead would return in [lo, hi), in index order, each
   /// with the entry GetEntry would decode — in one pass: one directory walk
   /// and one fetch per entry page, where a NextHead + GetEntry loop pays a
-  /// directory walk and two entry-page fetches per head. Parallel scans run
-  /// it once per morsel.
-  Status ScanHeads(LocalOid lo, LocalOid hi, bool include_tombstones,
-                   std::vector<Head>* out) const;
+  /// directory walk and two entry-page fetches per head. `hi` is clamped to
+  /// the high-water mark, which is returned (read from the same root fetch),
+  /// so an empty range measures the table without walking it.
+  Result<uint32_t> ScanHeads(LocalOid lo, LocalOid hi, bool include_tombstones,
+                             std::vector<Head>* out) const;
 
   /// The page currently targeted for record inserts (kInvalidPageId if none
   /// yet); maintained by the ObjectStore.

@@ -23,13 +23,13 @@ namespace ode {
 /// configuration) in one pass: ForAll::Fold folds the matching objects into
 /// accumulator slots, and the helper merges the slots in ascending order.
 ///
-/// A snapshot transaction on the plain scan path folds one slot per morsel,
-/// inline or on query-pool workers under Parallel() (see
+/// The plain scan path folds one slot per morsel, inline or, for a
+/// snapshot under Parallel(), on query-pool workers (see
 /// ForAll::WillRunParallel); the morsel plan does not depend on the width,
 /// so snapshot aggregates agree bit for bit at every width, floating-point
-/// sums included. Locked loops and index/oid-list paths fold left to right
-/// in one slot. `value`/`key` may run concurrently on pool threads and must
-/// not touch shared mutable state. The `txn` parameter is unused (the loop
+/// sums included. Index/oid-list paths fold left to right in one slot.
+/// `value`/`key` may run concurrently on pool threads and must not touch
+/// shared mutable state. The `txn` parameter is unused (the loop
 /// carries its transaction); it stays for call-site compatibility.
 
 /// Sum of `value` over the matching objects.

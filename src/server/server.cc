@@ -914,35 +914,31 @@ Status Server::StreamScan(const std::shared_ptr<Conn>& conn, Transaction& txn,
     return EmitFrames(conn, encoded);
   };
 
-  LocalOid next = req.start;
-  for (;;) {
-    if (req.limit != 0 && *count >= req.limit) break;
-    LocalOid local = 0;
-    bool found = false;
-    ODE_RETURN_IF_ERROR(txn.NextInCluster(req.cluster, next, &local, &found));
-    if (!found) break;
-    next = local + 1;
-    Result<Transaction::RawRecord> r =
-        txn.ReadRaw(Oid{req.cluster, local}, kGenericVersion);
-    if (!r.ok()) {
-      // Invisible to this snapshot (or deleted between head-walk and read):
-      // skip, the scan stays consistent.
-      if (r.status().IsNotFound()) continue;
-      return r.status();
-    }
-    ScanRecord rec;
-    rec.local = local;
-    rec.type_code = r.value().type_code;
-    rec.vnum = r.value().vnum;
-    if (req.with_bytes != 0) rec.bytes = std::move(r.value().bytes);
-    chunk_bytes += rec.bytes.size() + 16;
-    chunk.records.push_back(std::move(rec));
-    (*count)++;
-    if (chunk.records.size() >= kScanChunkRecords ||
-        chunk_bytes >= kScanChunkBytes) {
-      ODE_RETURN_IF_ERROR(flush_chunk());
-    }
-  }
+  ODE_RETURN_IF_ERROR(txn.ForEachHead(
+      req.cluster, req.start,
+      [&](const ObjectTable::Head& head, bool* stop) -> Status {
+        Result<Transaction::RawRecord> r =
+            txn.ReadRaw(Oid{req.cluster, head.local}, kGenericVersion);
+        if (!r.ok()) {
+          // Invisible to this snapshot, or deleted earlier in this
+          // transaction: skip, the scan stays consistent.
+          return r.status().IsNotFound() ? Status::OK() : r.status();
+        }
+        ScanRecord rec;
+        rec.local = head.local;
+        rec.type_code = r.value().type_code;
+        rec.vnum = r.value().vnum;
+        if (req.with_bytes != 0) rec.bytes = std::move(r.value().bytes);
+        chunk_bytes += rec.bytes.size() + 16;
+        chunk.records.push_back(std::move(rec));
+        (*count)++;
+        *stop = req.limit != 0 && *count >= req.limit;
+        if (chunk.records.size() >= kScanChunkRecords ||
+            chunk_bytes >= kScanChunkBytes) {
+          return flush_chunk();
+        }
+        return Status::OK();
+      }));
   return flush_chunk();
 }
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -272,6 +274,116 @@ TEST_F(ForAllTest, FixpointGenerationQuery) {
               return Status::OK();
             }));
     EXPECT_EQ(generated, 4);  // gen(0) -> g1 -> g2 -> g3 -> g4(age 4 stops)
+    return Status::OK();
+  }));
+}
+
+TEST_F(ForAllTest, LockedScanVisitsInsertIntoFreedEntry) {
+  // §3.2 when the body's objects reuse entries: pam's entry is freed, so a
+  // Person created mid-scan lands below the scan's position in the extent
+  // and must still be visited, once.
+  ASSERT_OK(db_->RunTransaction([&](Transaction& txn) -> Status {
+    ODE_ASSIGN_OR_RETURN(
+        std::vector<Ref<Person>> pam,
+        ForAll<Person>(txn)
+            .SuchThat([](const Person& p) { return p.name() == "pam"; })
+            .Collect());
+    return txn.Delete(pam.at(0));
+  }));
+  ASSERT_OK(db_->CollectVersionGarbage());
+  ASSERT_OK(db_->RunTransaction([&](Transaction& txn) -> Status {
+    std::vector<std::string> seen;
+    ODE_RETURN_IF_ERROR(ForAll<Person>(txn).Do([&](Ref<Person> p) -> Status {
+      ODE_ASSIGN_OR_RETURN(const Person* obj, txn.Read(p));
+      seen.push_back(obj->name());
+      if (obj->name() != "pete") return Status::OK();
+      ODE_RETURN_IF_ERROR(txn.New<Person>("newcomer", 1, 1).status());
+      return txn.New<Person>("second", 2, 2).status();
+    }));
+    EXPECT_EQ(seen,
+              (std::vector<std::string>{"pete", "newcomer", "second"}));
+    return Status::OK();
+  }));
+}
+
+TEST_F(ForAllTest, LockedScanVisitsEachInsertOnceAcrossMorsels) {
+  // 602 Persons span two morsels (508 entries each). Deleting p3 and p550
+  // and collecting the garbage frees their entries 5 and 552 plus entries
+  // 602 and 603, which held their retained images; GC leaves the extent's
+  // end at 604, so the morsels are [0, 508) and [508, 604). The body's five
+  // Persons, created while the scan is in the first morsel, reuse all four
+  // freed entries — one behind the scan, three in the morsel it has not
+  // walked yet — and the fifth lands at 604, past the planned end. Each is
+  // visited exactly once.
+  ASSERT_OK(db_->RunTransaction([&](Transaction& txn) -> Status {
+    for (int i = 0; i < 600; i++) {
+      ODE_RETURN_IF_ERROR(
+          txn.New<Person>("p" + std::to_string(i), i, 0).status());
+    }
+    return Status::OK();
+  }));
+  ASSERT_OK(db_->RunTransaction([&](Transaction& txn) -> Status {
+    return ForAll<Person>(txn).Do([&](Ref<Person> p) -> Status {
+      ODE_ASSIGN_OR_RETURN(const Person* obj, txn.Read(p));
+      if (obj->name() == "p3" || obj->name() == "p550") return txn.Delete(p);
+      return Status::OK();
+    });
+  }));
+  ASSERT_OK(db_->CollectVersionGarbage());
+  ASSERT_OK(db_->RunTransaction([&](Transaction& txn) -> Status {
+    std::map<std::string, int> visits;
+    std::vector<LocalOid> created;
+    ODE_RETURN_IF_ERROR(ForAll<Person>(txn).Do([&](Ref<Person> p) -> Status {
+      ODE_ASSIGN_OR_RETURN(const Person* obj, txn.Read(p));
+      visits[obj->name()]++;
+      if (obj->name() != "p100") return Status::OK();
+      for (int i = 0; i < 5; i++) {
+        ODE_ASSIGN_OR_RETURN(
+            Ref<Person> made,
+            txn.New<Person>("new" + std::to_string(i), 0, 0));
+        created.push_back(made.oid().local);
+      }
+      return Status::OK();
+    }));
+    std::sort(created.begin(), created.end());
+    EXPECT_EQ(created, (std::vector<LocalOid>{5, 552, 602, 603, 604}));
+    EXPECT_EQ(visits.size(), 605u);  // pam, pete, 598 survivors, 5 new
+    for (const auto& [name, n] : visits) EXPECT_EQ(n, 1) << name;
+    for (int i = 0; i < 5; i++) {
+      EXPECT_EQ(visits.count("new" + std::to_string(i)), 1u) << i;
+    }
+    return Status::OK();
+  }));
+}
+
+TEST_F(ForAllTest, LockedScanVisitsRecreatedEntryOnce) {
+  // A body that deletes an object it created frees that entry at once, and
+  // its next New reuses it: "a" and "b" share one oid, and so do "b" and
+  // "c", which the body makes while visiting "b". The insert pass visits
+  // each live object once and never the deleted "a".
+  ASSERT_OK(db_->RunTransaction([&](Transaction& txn) -> Status {
+    std::map<std::string, int> visits;
+    std::vector<LocalOid> created;
+    auto recreate = [&](Ref<Person> gone, const std::string& name) -> Status {
+      ODE_RETURN_IF_ERROR(txn.Delete(gone));
+      ODE_ASSIGN_OR_RETURN(Ref<Person> made, txn.New<Person>(name, 0, 0));
+      created.push_back(made.oid().local);
+      return Status::OK();
+    };
+    ODE_RETURN_IF_ERROR(ForAll<Person>(txn).Do([&](Ref<Person> p) -> Status {
+      ODE_ASSIGN_OR_RETURN(const Person* obj, txn.Read(p));
+      const std::string name = obj->name();
+      visits[name]++;
+      if (name == "b") return recreate(p, "c");
+      if (name != "pete") return Status::OK();
+      ODE_ASSIGN_OR_RETURN(Ref<Person> a, txn.New<Person>("a", 0, 0));
+      created.push_back(a.oid().local);
+      return recreate(a, "b");
+    }));
+    EXPECT_EQ(created.size(), 3u);
+    EXPECT_EQ(std::count(created.begin(), created.end(), created.at(0)), 3);
+    EXPECT_EQ(visits, (std::map<std::string, int>{
+                          {"b", 1}, {"c", 1}, {"pam", 1}, {"pete", 1}}));
     return Status::OK();
   }));
 }

@@ -362,6 +362,44 @@ TEST_F(ExecStatsTest, ScansReportExactPoolFetchesPerRow) {
   EXPECT_TRUE(found);
 }
 
+TEST_F(ExecStatsTest, LockedScanReportsExactPoolFetches) {
+  // A locked scan walks the same single morsel as the snapshot scans above
+  // (ScansReportExactPoolFetchesPerRow), inline in its own transaction: the
+  // root for the extent's end under S(cluster) and again to list the entry
+  // pages (2), the morsel walk (2), then ten reads of root, entry page and
+  // data page (10 * 3). 2 + 2 + 30 = 34.
+  ASSERT_OK(m_->RunTransaction([&](Transaction& txn) -> Status {
+    ForAll<Person> loop(txn);
+    ODE_ASSIGN_OR_RETURN(size_t n, loop.Count());
+    EXPECT_EQ(n, 10u);
+    EXPECT_EQ(loop.exec_stats().rounds, 1u);
+    EXPECT_EQ(loop.exec_stats().pool_fetches, 34u);
+    EXPECT_EQ(loop.Explain(),
+              "scan(odetest::Person) | scan clusters=1 rounds=1 "
+              "rows_scanned=10 rows_returned=10 pool_fetches=34");
+    return Status::OK();
+  }));
+  // A body that creates one Person on the first row: its own fetches stay
+  // out, but its insert leaves this transaction private copies of the root,
+  // the entry page and the data page, and reads of those are no pool
+  // fetches. So: 2 + 2 as above, 3 for the first read, none for the other
+  // nine = 7. The insert pass then visits the new Person as an eleventh row
+  // in a second round, read from the transaction cache.
+  ASSERT_OK(m_->RunTransaction([&](Transaction& txn) -> Status {
+    ForAll<Person> loop(txn);
+    bool created = false;
+    ODE_RETURN_IF_ERROR(loop.Do([&](Ref<Person>) -> Status {
+      if (created) return Status::OK();
+      created = true;
+      return txn.New<Person>("late", 99, 0).status();
+    }));
+    EXPECT_EQ(loop.exec_stats().rounds, 2u);
+    EXPECT_EQ(loop.exec_stats().rows_scanned, 11u);
+    EXPECT_EQ(loop.exec_stats().pool_fetches, 7u);
+    return Status::OK();
+  }));
+}
+
 // --- Joins ------------------------------------------------------------------
 
 class JoinMetricsTest : public ::testing::Test {

@@ -198,7 +198,9 @@ TEST_F(ObjectStoreTest, ScanHeadsMatchesNextHeadAndGetEntry) {
       at = local + 1;
     }
     std::vector<ObjectTable::Head> got;
-    ASSERT_OK(store_->ScanHeads(root_, lo, hi, tombstones, &got));
+    Result<uint32_t> end = store_->ScanHeads(root_, lo, hi, tombstones, &got);
+    ASSERT_OK(end.status());
+    EXPECT_EQ(end.value(), num.value());  // the high-water mark, any range
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < got.size(); i++) {
       const ObjectTable::Entry& g = got[i].entry;

@@ -4,11 +4,12 @@
 // out over the shared QueryPool, otherwise they run inline in the caller's
 // transaction. The contract under test:
 //
-//   * results are identical to a locked scan of the same quiescent data —
-//     the worklist over NextInCluster, which shares no code with the morsel
-//     scan — in refs, order and aggregate values (ties in Min/Max resolve
-//     to the same object); the inline and Parallel() snapshot scans agree
-//     with each other as well;
+//   * results are exactly what the test's own model of the seeded data
+//     says — the refs it created, in creation order (a fresh cluster hands
+//     out entries in order), with quantity == index — in refs, order and
+//     aggregate values (ties in Min/Max resolve to the first object); the
+//     inline and Parallel() snapshot scans, and a locked scan, agree with
+//     it and with each other;
 //   * the scan is snapshot-consistent while writers commit concurrently,
 //     inline with no pool as well as on pool workers;
 //   * admission is all-or-nothing: a pool with fewer idle threads than the
@@ -47,9 +48,11 @@ class ParallelQueryTest : public ::testing::Test {
     ASSERT_OK((*db_)->CreateCluster<StockItem>());
   }
 
-  /// Seeds `n` items, quantity = index (an exact-integer aggregate base).
-  /// Object-table entry pages hold 127 entries and a morsel spans four of
-  /// them, so anything past ~508 items gives the pool several morsels.
+  /// Seeds `n` items, quantity = index (an exact-integer aggregate base),
+  /// recording each ref in refs_ in creation order: the model every
+  /// expected answer comes from. Object-table entry pages hold 127 entries
+  /// and a morsel spans four of them, so anything past ~508 items gives the
+  /// pool several morsels.
   void Seed(int n) {
     constexpr int kBatch = 300;
     for (int start = 0; start < n; start += kBatch) {
@@ -65,8 +68,7 @@ class ParallelQueryTest : public ::testing::Test {
     }
   }
 
-  /// The reference answer: a locked scan (the NextInCluster worklist) of
-  /// the same quiescent data, taken in its own transaction.
+  /// Runs `fn` in its own locked transaction.
   template <typename Fn>
   void Locked(Fn fn) {
     ASSERT_OK((*db_)->RunTransaction(
@@ -77,25 +79,29 @@ class ParallelQueryTest : public ::testing::Test {
   std::vector<Ref<StockItem>> refs_;
 };
 
-// The inline and parallel snapshot collects return exactly the locked
-// scan's refs in exactly its order (morsel slots concatenate in scan
-// order), and the merged ExecStats match the inline counters.
+// The inline and parallel snapshot collects and a locked one return
+// exactly the seeded refs in creation order (morsel slots concatenate in
+// scan order), and the merged ExecStats match the inline counters.
 TEST_F(ParallelQueryTest, CollectMatchesSerialOrdered) {
   Open(/*query_threads=*/4);
   Seed(1200);
-  std::vector<Ref<StockItem>> locked_refs;
+  ASSERT_EQ(refs_.size(), 1200u);
   Locked([&](Transaction& txn) -> Status {
-    ODE_ASSIGN_OR_RETURN(locked_refs, ForAll<StockItem>(txn).Collect());
+    ODE_ASSIGN_OR_RETURN(std::vector<Ref<StockItem>> locked_refs,
+                         ForAll<StockItem>(txn).Collect());
+    EXPECT_EQ(locked_refs.size(), refs_.size());
+    for (size_t i = 0; i < locked_refs.size() && i < refs_.size(); i++) {
+      EXPECT_EQ(locked_refs[i].oid(), refs_[i].oid()) << "at " << i;
+    }
     return Status::OK();
   });
-  ASSERT_EQ(locked_refs.size(), 1200u);
 
   auto snap = ASSERT_OK_AND_UNWRAP((*db_)->BeginSnapshot());
   ForAll<StockItem> serial(*snap);
   auto serial_refs = ASSERT_OK_AND_UNWRAP(serial.Collect());
-  ASSERT_EQ(serial_refs.size(), locked_refs.size());
-  for (size_t i = 0; i < locked_refs.size(); i++) {
-    EXPECT_EQ(serial_refs[i].oid(), locked_refs[i].oid()) << "at " << i;
+  ASSERT_EQ(serial_refs.size(), refs_.size());
+  for (size_t i = 0; i < refs_.size(); i++) {
+    EXPECT_EQ(serial_refs[i].oid(), refs_[i].oid()) << "at " << i;
   }
   EXPECT_EQ(serial.exec_stats().workers, 0u);
 
@@ -117,9 +123,9 @@ TEST_F(ParallelQueryTest, CollectMatchesSerialOrdered) {
   ASSERT_OK(snap->Commit());
 }
 
-// Filtered scans and the aggregate helpers produce the locked scan's
-// answers, with the merged ExecStats counting every scanned row once across
-// workers.
+// Filtered scans and the aggregate helpers produce the model's answers
+// (quantity == index), inline, in parallel and locked, with the merged
+// ExecStats counting every scanned row once across workers.
 TEST_F(ParallelQueryTest, FilteredAggregatesMatchSerial) {
   Open(/*query_threads=*/4);
   Seed(1000);
@@ -130,34 +136,42 @@ TEST_F(ParallelQueryTest, FilteredAggregatesMatchSerial) {
   auto quantity = [](const StockItem& s) {
     return static_cast<double>(s.quantity());
   };
-  // Integer-valued doubles: the locked scan's left-to-right fold and the
-  // morsel merge cannot differ by association.
-  double locked_sum = 0;
-  double locked_avg = 0;
+  // The model: quantity == index, so the matches are 0, 3, ..., 999.
+  // Integer-valued doubles: no fold order can differ by association.
+  double want_sum = 0;
+  size_t want_n = 0;
+  for (size_t i = 0; i < refs_.size(); i++) {
+    if (i % 3 != 0) continue;
+    want_sum += static_cast<double>(i);
+    want_n++;
+  }
+  ASSERT_EQ(want_n, 334u);
+  const double want_avg = want_sum / static_cast<double>(want_n);
   Locked([&](Transaction& txn) -> Status {
-    ODE_ASSIGN_OR_RETURN(locked_sum, Sum<StockItem>(
-                                         filtered(ForAll<StockItem>(txn)),
-                                         txn, quantity));
-    ODE_ASSIGN_OR_RETURN(locked_avg, Avg<StockItem>(
-                                         filtered(ForAll<StockItem>(txn)),
-                                         txn, quantity));
+    ODE_ASSIGN_OR_RETURN(double locked_sum,
+                         Sum<StockItem>(filtered(ForAll<StockItem>(txn)), txn,
+                                        quantity));
+    ODE_ASSIGN_OR_RETURN(double locked_avg,
+                         Avg<StockItem>(filtered(ForAll<StockItem>(txn)), txn,
+                                        quantity));
+    EXPECT_EQ(locked_sum, want_sum);
+    EXPECT_EQ(locked_avg, want_avg);
     return Status::OK();
   });
-  EXPECT_EQ(locked_sum, 3.0 * (333 * 334 / 2));  // 0 + 3 + ... + 999
 
   auto snap = ASSERT_OK_AND_UNWRAP((*db_)->BeginSnapshot());
   double serial_sum = ASSERT_OK_AND_UNWRAP(
       Sum<StockItem>(filtered(ForAll<StockItem>(*snap)), *snap, quantity));
   double parallel_sum = ASSERT_OK_AND_UNWRAP(Sum<StockItem>(
       filtered(ForAll<StockItem>(*snap).Parallel()), *snap, quantity));
-  EXPECT_EQ(serial_sum, locked_sum);
+  EXPECT_EQ(serial_sum, want_sum);
   EXPECT_EQ(parallel_sum, serial_sum);
 
   double serial_avg = ASSERT_OK_AND_UNWRAP(
       Avg<StockItem>(filtered(ForAll<StockItem>(*snap)), *snap, quantity));
   double parallel_avg = ASSERT_OK_AND_UNWRAP(Avg<StockItem>(
       filtered(ForAll<StockItem>(*snap).Parallel()), *snap, quantity));
-  EXPECT_EQ(serial_avg, locked_avg);
+  EXPECT_EQ(serial_avg, want_avg);
   EXPECT_EQ(parallel_avg, serial_avg);
 
   // Exercise the worker-side predicate + merged counters through a counted
@@ -166,7 +180,7 @@ TEST_F(ParallelQueryTest, FilteredAggregatesMatchSerial) {
   loop.SuchThat([](const StockItem& s) { return s.quantity() % 3 == 0; })
       .Parallel(2);
   size_t n = ASSERT_OK_AND_UNWRAP(loop.Count());
-  EXPECT_EQ(n, 334u);  // 0, 3, ..., 999
+  EXPECT_EQ(n, want_n);
   EXPECT_EQ(loop.exec_stats().workers, 2u);
   EXPECT_EQ(loop.exec_stats().rows_scanned, 1000u);
   EXPECT_EQ(loop.exec_stats().rows_returned, 334u);
@@ -174,40 +188,39 @@ TEST_F(ParallelQueryTest, FilteredAggregatesMatchSerial) {
 }
 
 // MinBy/MaxBy under ties: every item shares the key, so "the" extremum is
-// whichever object the locked scan visits first — the morsel merge, inline
-// or parallel, must pick the same one (strict comparison in fold and
+// the first object in scan order, the first one seeded — the morsel merge,
+// inline, parallel or locked, must pick it (strict comparison in fold and
 // ascending slot merge).
 TEST_F(ParallelQueryTest, MinMaxTiesResolveLikeSerial) {
   Open(/*query_threads=*/4);
   Seed(700);
   auto constant = [](const StockItem&) { return 7; };
-  Ref<StockItem> locked_min;
-  Ref<StockItem> locked_max;
+  const Oid first = refs_.front().oid();
   Locked([&](Transaction& txn) -> Status {
-    ODE_ASSIGN_OR_RETURN(locked_min, (MinBy<StockItem, int>(
-                                         ForAll<StockItem>(txn), txn,
-                                         constant)));
-    ODE_ASSIGN_OR_RETURN(locked_max, (MaxBy<StockItem, int>(
-                                         ForAll<StockItem>(txn), txn,
-                                         constant)));
+    ODE_ASSIGN_OR_RETURN(Ref<StockItem> locked_min,
+                         (MinBy<StockItem, int>(ForAll<StockItem>(txn), txn,
+                                                constant)));
+    ODE_ASSIGN_OR_RETURN(Ref<StockItem> locked_max,
+                         (MaxBy<StockItem, int>(ForAll<StockItem>(txn), txn,
+                                                constant)));
+    EXPECT_EQ(locked_min.oid(), first);
+    EXPECT_EQ(locked_max.oid(), first);
     return Status::OK();
   });
-  EXPECT_EQ(locked_min.oid(), refs_.front().oid());
-  EXPECT_EQ(locked_max.oid(), refs_.front().oid());
 
   auto snap = ASSERT_OK_AND_UNWRAP((*db_)->BeginSnapshot());
   auto serial_min = ASSERT_OK_AND_UNWRAP(
       (MinBy<StockItem, int>(ForAll<StockItem>(*snap), *snap, constant)));
   auto parallel_min = ASSERT_OK_AND_UNWRAP((MinBy<StockItem, int>(
       ForAll<StockItem>(*snap).Parallel(), *snap, constant)));
-  EXPECT_EQ(serial_min.oid(), locked_min.oid());
+  EXPECT_EQ(serial_min.oid(), first);
   EXPECT_EQ(parallel_min.oid(), serial_min.oid());
 
   auto serial_max = ASSERT_OK_AND_UNWRAP(
       (MaxBy<StockItem, int>(ForAll<StockItem>(*snap), *snap, constant)));
   auto parallel_max = ASSERT_OK_AND_UNWRAP((MaxBy<StockItem, int>(
       ForAll<StockItem>(*snap).Parallel(), *snap, constant)));
-  EXPECT_EQ(serial_max.oid(), locked_max.oid());
+  EXPECT_EQ(serial_max.oid(), first);
   EXPECT_EQ(parallel_max.oid(), serial_max.oid());
   ASSERT_OK(snap->Commit());
 }
@@ -359,10 +372,10 @@ TEST_F(ParallelQueryTest, IneligibleLoopsFallBackSerial) {
 // With no query pool every snapshot scan runs its morsels inline in the
 // caller's transaction. Persons and Students under WithDerived() span three
 // morsels over two clusters; a delete and an insert committed after the
-// snapshot's cut must not show, so every answer equals a locked scan taken
-// before them. A Parallel() request there runs inline too and counts one
-// fallback.
-TEST_F(ParallelQueryTest, InlineScanWithoutPoolMatchesLockedScanAtCut) {
+// snapshot's cut must not show, so every answer equals the model of the
+// data seeded before them (and a locked scan of it). A Parallel() request
+// there runs inline too and counts one fallback.
+TEST_F(ParallelQueryTest, InlineScanWithoutPoolMatchesModelAtCut) {
   DatabaseOptions options = TestDb::FastOptions();
   options.engine.query_threads = 0;
   db_ = std::make_unique<TestDb>(options);
@@ -371,7 +384,10 @@ TEST_F(ParallelQueryTest, InlineScanWithoutPoolMatchesLockedScanAtCut) {
   ASSERT_OK((*db_)->CreateCluster<Student>());
   // 600 Persons fill two morsels of their cluster, 300 Students one. Ages
   // cycle so MinBy meets ties; incomes are whole numbers so sums are exact.
+  // The model: every seeded object in scan order (the Person cluster,
+  // then the Student cluster, each in creation order).
   std::vector<Ref<Person>> people;
+  std::vector<Oid> want_oids;
   for (int start = 0; start < 900; start += 300) {
     Locked([&](Transaction& txn) -> Status {
       for (int i = start; i < start + 300; i++) {
@@ -379,8 +395,11 @@ TEST_F(ParallelQueryTest, InlineScanWithoutPoolMatchesLockedScanAtCut) {
         if (i < 600) {
           ODE_ASSIGN_OR_RETURN(Ref<Person> p, txn.New<Person>("p", age, i));
           people.push_back(p);
+          want_oids.push_back(p.oid());
         } else {
-          ODE_RETURN_IF_ERROR(txn.New<Student>("s", age, i, 3.0).status());
+          ODE_ASSIGN_OR_RETURN(Ref<Student> s,
+                               txn.New<Student>("s", age, i, 3.0));
+          want_oids.push_back(s.oid());
         }
       }
       return Status::OK();
@@ -394,22 +413,28 @@ TEST_F(ParallelQueryTest, InlineScanWithoutPoolMatchesLockedScanAtCut) {
   auto income = [](const Person& p) { return p.income(); };
   auto age = [](const Person& p) { return p.age(); };
 
-  std::vector<Ref<Person>> want_refs;
-  size_t want_count = 0;
-  double want_sum = 0;
-  Ref<Person> want_min;
+  const size_t want_count = want_oids.size();
+  const double want_sum = 899.0 * 900 / 2;  // incomes 0..899
+  const Oid want_min = people.front().oid();  // first of the age-20s
+  auto expect_model = [&](const std::vector<Ref<Person>>& got) {
+    ASSERT_EQ(got.size(), want_oids.size());
+    for (size_t i = 0; i < want_oids.size(); i++) {
+      EXPECT_EQ(got[i].oid(), want_oids[i]) << "at " << i;
+    }
+  };
   Locked([&](Transaction& txn) -> Status {
-    ODE_ASSIGN_OR_RETURN(want_refs, everyone(txn).Collect());
-    ODE_ASSIGN_OR_RETURN(want_count, everyone(txn).Count());
-    ODE_ASSIGN_OR_RETURN(want_sum, Sum<Person>(everyone(txn), txn, income));
-    ODE_ASSIGN_OR_RETURN(want_min,
+    ODE_ASSIGN_OR_RETURN(std::vector<Ref<Person>> refs,
+                         everyone(txn).Collect());
+    expect_model(refs);
+    ODE_ASSIGN_OR_RETURN(size_t count, everyone(txn).Count());
+    EXPECT_EQ(count, want_count);
+    ODE_ASSIGN_OR_RETURN(double sum, Sum<Person>(everyone(txn), txn, income));
+    EXPECT_EQ(sum, want_sum);
+    ODE_ASSIGN_OR_RETURN(Ref<Person> min,
                          (MinBy<Person, int>(everyone(txn), txn, age)));
+    EXPECT_EQ(min.oid(), want_min);
     return Status::OK();
   });
-  ASSERT_EQ(want_refs.size(), 900u);
-  EXPECT_EQ(want_count, 900u);
-  EXPECT_EQ(want_sum, 899.0 * 900 / 2);
-  EXPECT_EQ(want_min.oid(), people.front().oid());  // first of the age-20s
 
   auto snap = ASSERT_OK_AND_UNWRAP((*db_)->BeginSnapshot());
   // After the cut: the MinBy winner goes, and a Student that would win and
@@ -426,10 +451,7 @@ TEST_F(ParallelQueryTest, InlineScanWithoutPoolMatchesLockedScanAtCut) {
   const uint64_t before = fallbacks->value();
   ForAll<Person> inline_loop = everyone(*snap);
   auto got = ASSERT_OK_AND_UNWRAP(inline_loop.Collect());
-  ASSERT_EQ(got.size(), want_refs.size());
-  for (size_t i = 0; i < want_refs.size(); i++) {
-    EXPECT_EQ(got[i].oid(), want_refs[i].oid()) << "at " << i;
-  }
+  expect_model(got);
   EXPECT_EQ(inline_loop.exec_stats().clusters, 2u);
   EXPECT_EQ(inline_loop.exec_stats().workers, 0u);
   size_t count = ASSERT_OK_AND_UNWRAP(everyone(*snap).Count());
@@ -439,14 +461,14 @@ TEST_F(ParallelQueryTest, InlineScanWithoutPoolMatchesLockedScanAtCut) {
   EXPECT_EQ(sum, want_sum);
   auto min = ASSERT_OK_AND_UNWRAP(
       (MinBy<Person, int>(everyone(*snap), *snap, age)));
-  EXPECT_EQ(min.oid(), want_min.oid());
+  EXPECT_EQ(min.oid(), want_min);
   EXPECT_EQ(fallbacks->value(), before);  // nothing asked for the pool
 
   ForAll<Person> parallel = everyone(*snap);
   parallel.Parallel();
   EXPECT_FALSE(parallel.WillRunParallel());
   auto parallel_refs = ASSERT_OK_AND_UNWRAP(parallel.Collect());
-  EXPECT_EQ(parallel_refs.size(), want_refs.size());
+  expect_model(parallel_refs);
   EXPECT_EQ(parallel.exec_stats().workers, 0u);
   EXPECT_EQ(fallbacks->value(), before + 1);
   ASSERT_OK(snap->Commit());

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -197,6 +198,77 @@ TEST(ServerTest, EndToEndBasics) {
   ASSERT_NE(std::string::npos, stats.find("server.requests"));
 
   client.Close();
+  ASSERT_OK(server->Shutdown());
+}
+
+// Wire Scan paging: `start` is an entry index and `limit` a record count.
+// 300 records fill entry pages of 127 entries; with one deleted, a page
+// starting mid entry page and crossing into the next returns exactly the
+// model's live records in that window — one-shot (a snapshot), in a locked
+// transaction and in a snapshot transaction alike.
+TEST(ServerTest, ScanPagesByStartAndLimit) {
+  TestDb tdb(ServedDbOptions());
+  auto server = MustStart(tdb.db.get(), FastServerOptions());
+  Client client;
+  ASSERT_OK(client.Connect("127.0.0.1", server->port()));
+  const uint32_t cluster =
+      ASSERT_OK_AND_UNWRAP(client.EnsureCluster("wire.Page"));
+
+  // The model: local oid -> bytes of every live record.
+  std::map<uint32_t, std::string> model;
+  ASSERT_OK(client.Begin());
+  for (int i = 0; i < 300; i++) {
+    const std::string bytes = "rec" + std::to_string(i);
+    auto oid = ASSERT_OK_AND_UNWRAP(client.Insert(cluster, bytes));
+    model[oid.local] = bytes;
+  }
+  ASSERT_OK(client.Commit());
+  ASSERT_EQ(model.size(), 300u);
+  ASSERT_EQ(model.rbegin()->first, 299u);  // entries 0..299, no gaps
+  ASSERT_OK(client.Delete(cluster, 120));
+  model.erase(120);
+
+  // The model's answer: the first `limit` live records at or past `start`.
+  auto expected = [&](uint32_t start, uint32_t limit) {
+    std::vector<std::pair<uint32_t, std::string>> out;
+    for (auto it = model.lower_bound(start);
+         it != model.end() && (limit == 0 || out.size() < limit); ++it) {
+      out.push_back(*it);
+    }
+    return out;
+  };
+  auto scan = [&](uint32_t start, uint32_t limit) {
+    ScanReq req;
+    req.cluster = cluster;
+    req.start = start;
+    req.limit = limit;
+    std::vector<std::pair<uint32_t, std::string>> got;
+    auto count = client.Scan(
+        req, [&](const ScanRecord& r) { got.emplace_back(r.local, r.bytes); });
+    EXPECT_TRUE(count.ok()) << count.status().ToString();
+    if (count.ok()) {
+      EXPECT_EQ(count.value(), got.size());
+    }
+    return got;
+  };
+  auto check_pages = [&](const char* mode) {
+    SCOPED_TRACE(mode);
+    // Mid entry page 0 (entries 0..126) across the deleted 120 into page 1.
+    EXPECT_EQ(scan(100, 50), expected(100, 50));
+    // Starts on the deleted entry; runs from page 1 into page 2 (254..).
+    EXPECT_EQ(scan(120, 140), expected(120, 140));
+    // No limit: the rest of the extent from mid page 2.
+    EXPECT_EQ(scan(260, 0), expected(260, 0));
+    // Past the extent: nothing.
+    EXPECT_TRUE(scan(300, 10).empty());
+  };
+  check_pages("one-shot");
+  ASSERT_OK(client.Begin());
+  check_pages("locked transaction");
+  ASSERT_OK(client.Commit());
+  ASSERT_OK(client.BeginSnapshot());
+  check_pages("snapshot transaction");
+  ASSERT_OK(client.Commit());
   ASSERT_OK(server->Shutdown());
 }
 
@@ -496,10 +568,10 @@ TEST(ServerTest, GracefulDrainAbortsStragglers) {
   ASSERT_OK(tdb.db->RunReadTransaction([&](Transaction& txn) -> Status {
     auto c = tdb.db->ClusterIdForName("wire.Straggler");
     if (!c.ok()) return c.status();
-    LocalOid local = 0;
-    bool found = false;
-    ODE_RETURN_IF_ERROR(txn.NextInCluster(c.value(), 0, &local, &found));
-    EXPECT_FALSE(found) << "straggler's insert survived the drain abort";
+    std::vector<ObjectTable::Head> heads;
+    ODE_RETURN_IF_ERROR(
+        txn.ScanHeads(c.value(), 0, kInvalidLocalOid, &heads).status());
+    EXPECT_TRUE(heads.empty()) << "straggler's insert survived the drain abort";
     return Status::OK();
   }));
 }

@@ -276,10 +276,11 @@ TEST_F(TransactionTest, ScanSeesInTxnCreations) {
     ODE_ASSIGN_OR_RETURN(Ref<Person> a, txn.New<Person>("a", 1, 1.0));
     (void)a;
     ODE_ASSIGN_OR_RETURN(ClusterId cluster, db_->ClusterOf<Person>());
-    LocalOid local;
-    bool found = false;
-    ODE_RETURN_IF_ERROR(txn.NextInCluster(cluster, 0, &local, &found));
-    EXPECT_TRUE(found);
+    std::vector<ObjectTable::Head> heads;
+    ODE_ASSIGN_OR_RETURN(uint32_t end,
+                         txn.ScanHeads(cluster, 0, kInvalidLocalOid, &heads));
+    EXPECT_EQ(end, 1u);
+    EXPECT_EQ(heads.size(), 1u);
     return Status::OK();
   }));
 }

@@ -29,20 +29,15 @@ int main(int argc, char** argv) {
 
   printf("\nclusters (%zu):\n", cat.clusters.size());
   for (const auto& c : cat.clusters) {
-    uint32_t objects = 0;
+    size_t objects = 0;
     ode::Status cs = db->RunTransaction([&](ode::Transaction& txn) -> ode::Status {
-      ode::LocalOid at = 0;
-      while (true) {
-        ode::LocalOid local;
-        bool found = false;
-        ODE_RETURN_IF_ERROR(txn.NextInCluster(c.id, at, &local, &found));
-        if (!found) break;
+      return txn.ForEachHead(c.id, 0, [&](const ode::ObjectTable::Head&,
+                                          bool*) {
         objects++;
-        at = local + 1;
-      }
-      return ode::Status::OK();
+        return ode::Status::OK();
+      });
     });
-    printf("  id %-4u type %-24s table-root page %-6u objects %u%s\n", c.id,
+    printf("  id %-4u type %-24s table-root page %-6u objects %zu%s\n", c.id,
            c.type_name.c_str(), c.table_root, objects,
            cs.ok() ? "" : " (scan failed)");
   }

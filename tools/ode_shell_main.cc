@@ -93,28 +93,18 @@ std::string Preview(const std::string& bytes, size_t max_len = 48) {
   return out;
 }
 
-Status CountObjects(Database& db, ClusterId cluster, uint32_t* count) {
-  *count = 0;
-  ODE_ASSIGN_OR_RETURN(PageId root, db.TableRootOf(cluster));
-  LocalOid at = 0;
-  while (true) {
-    LocalOid local;
-    bool found = false;
-    ODE_RETURN_IF_ERROR(db.store().NextHead(root, at, &local, &found));
-    if (!found) break;
-    (*count)++;
-    at = local + 1;
-  }
-  return Status::OK();
-}
-
 Status CmdClusters(Database& db) {
   printf("%-6s %-32s %-12s %s\n", "id", "type", "table-root", "objects");
   for (const auto& c : db.catalog().clusters) {
-    uint32_t count = 0;
-    ODE_RETURN_IF_ERROR(CountObjects(db, c.id, &count));
-    printf("%-6u %-32s %-12u %u\n", c.id, c.type_name.c_str(), c.table_root,
-           count);
+    size_t objects = 0;
+    ODE_RETURN_IF_ERROR(db.store().ForEachHead(
+        c.table_root, 0, /*include_tombstones=*/false,
+        [&](const ObjectTable::Head&, bool*) {
+          objects++;
+          return Status::OK();
+        }));
+    printf("%-6u %-32s %-12u %zu\n", c.id, c.type_name.c_str(), c.table_root,
+           objects);
   }
   return Status::OK();
 }
@@ -157,21 +147,21 @@ Status CmdTriggers(Database& db) {
 Status CmdScan(Database& db, ClusterId cluster, int limit) {
   ODE_ASSIGN_OR_RETURN(PageId root, db.TableRootOf(cluster));
   printf("%-8s %-6s %-6s %s\n", "oid", "vnum", "bytes", "preview");
-  LocalOid at = 0;
   int shown = 0;
-  while (shown < limit) {
-    LocalOid local;
-    bool found = false;
-    ODE_RETURN_IF_ERROR(db.store().NextHead(root, at, &local, &found));
-    if (!found) break;
-    std::string bytes;
-    uint32_t type_code = 0, vnum = 0;
-    ODE_RETURN_IF_ERROR(db.store().Read(root, local, ode::kGenericVersion,
-                                        &bytes, &type_code, &vnum));
-    printf("%-8u %-6u %-6zu %s\n", local, vnum, bytes.size(),
-           Preview(bytes).c_str());
-    shown++;
-    at = local + 1;
+  if (limit > 0) {
+    ODE_RETURN_IF_ERROR(db.store().ForEachHead(
+        root, 0, /*include_tombstones=*/false,
+        [&](const ObjectTable::Head& head, bool* stop) {
+          std::string bytes;
+          uint32_t type_code = 0, vnum = 0;
+          ODE_RETURN_IF_ERROR(db.store().Read(root, head.local,
+                                              ode::kGenericVersion, &bytes,
+                                              &type_code, &vnum));
+          printf("%-8u %-6u %-6zu %s\n", head.local, vnum, bytes.size(),
+                 Preview(bytes).c_str());
+          *stop = ++shown >= limit;
+          return Status::OK();
+        }));
   }
   printf("(%d object%s shown)\n", shown, shown == 1 ? "" : "s");
   return Status::OK();
