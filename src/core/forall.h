@@ -330,7 +330,9 @@ class ForAll {
     // a freed entry already passed or in a morsel not yet walked — and the
     // insert pass visits them after it, in creation order. Deleting its own
     // object frees the entry for the body's next New, so an oid can recur
-    // in the log; only its latest creation is visited.
+    // in the log; only its latest creation is visited. (A snapshot cannot
+    // create, so its log stays empty.)
+    Transaction::CreationLog log(*txn_);
     const std::vector<Oid>& created = txn_->created();
     const size_t first = created.size();
     size_t indexed = first;  // created[first, indexed) is in `latest`
@@ -399,8 +401,9 @@ class ForAll {
         continue;
       }
       stats_.rounds = 2;
-      ODE_RETURN_IF_ERROR(VisitObject(*txn_, oid, /*skip_missing=*/true,
-                                      &slots.back(), &stats_, step));
+      ODE_RETURN_IF_ERROR(VisitObject(*txn_, oid, /*walked=*/nullptr,
+                                      /*skip_missing=*/true, &slots.back(),
+                                      &stats_, step));
     }
     return slots;
   }
@@ -409,7 +412,8 @@ class ForAll {
   /// worker's joined at its cut): walks the morsel's entry pages once for
   /// its heads and their entries, prefetches the record pages they point at
   /// in one batch, then reads, filters and folds the objects into `acc`,
-  /// passing over those `skip` names.
+  /// passing over those `skip` names. Each read is handed its walked head,
+  /// so a snapshot reads a head visible at its cut with one fetch.
   template <typename A, typename Skip>
   Status ScanMorsel(Transaction& st, const Morsel& morsel, Skip&& skip,
                     A* acc, ExecStats* partial,
@@ -443,20 +447,21 @@ class ForAll {
       const Oid oid{morsel.cluster, head.local};
       if (skip(oid)) continue;
       // Missing: invisible at a snapshot's cut, or deleted by the body.
-      ODE_RETURN_IF_ERROR(
-          VisitObject(st, oid, /*skip_missing=*/true, acc, partial, step));
+      ODE_RETURN_IF_ERROR(VisitObject(st, oid, &head, /*skip_missing=*/true,
+                                      acc, partial, step));
     }
     return Status::OK();
   }
 
-  /// Reads `oid` in `st`, and folds it into `acc` if it matches.
-  /// `skip_missing` makes a NotFound read no match rather than an error.
+  /// Reads `oid` in `st` (`walked`: its head from a scan walk, or null),
+  /// and folds it into `acc` if it matches. `skip_missing` makes a NotFound
+  /// read no match rather than an error.
   template <typename A>
-  Status VisitObject(Transaction& st, Oid oid, bool skip_missing, A* acc,
-                     ExecStats* partial,
+  Status VisitObject(Transaction& st, Oid oid, const ObjectTable::Head* walked,
+                     bool skip_missing, A* acc, ExecStats* partial,
                      const std::function<Status(A&, Ref<T>, const T&)>& step) {
     Ref<T> ref(&st.db(), oid);
-    Result<const T*> read = st.Read(ref);
+    Result<const T*> read = st.Read(ref, walked);
     if (!read.ok()) {
       if (skip_missing && read.status().IsNotFound()) return Status::OK();
       return read.status();
@@ -484,7 +489,7 @@ class ForAll {
       // the scan emits should also resolve as an object read at the same
       // cut. A snapshot keeps the lenient skip as defense in depth (e.g. an
       // index caught mid-backfill by a crash).
-      ODE_RETURN_IF_ERROR(VisitObject(*txn_, oid,
+      ODE_RETURN_IF_ERROR(VisitObject(*txn_, oid, /*walked=*/nullptr,
                                       /*skip_missing=*/txn_->snapshot(),
                                       &slots[0], &stats_, step));
     }

@@ -266,7 +266,26 @@ void Transaction::ReleaseCachedReads() {
   }
 }
 
-Status Transaction::LoadObject(Oid oid, uint32_t vnum, Cached** out) {
+Status Transaction::ReadAtCut(PageId root, Oid oid, uint32_t vnum,
+                              const ObjectTable::Head* walked,
+                              std::string* bytes, uint32_t* type_code,
+                              uint32_t* resolved_vnum) {
+  // Resolve through the version chain to the newest version with
+  // commit_seq <= snapshot_seq — no locks taken.
+  if (walked != nullptr && walked->local == oid.local &&
+      vnum == kGenericVersion) {
+    ODE_RETURN_IF_ERROR(db_->store().ReadSnapshotHead(
+        root, *walked, snapshot_seq_, bytes, type_code, resolved_vnum));
+  } else {
+    ODE_RETURN_IF_ERROR(db_->store().ReadSnapshot(
+        root, oid.local, vnum, snapshot_seq_, bytes, type_code, resolved_vnum));
+  }
+  db_->core_metrics().snapshot_reads->Add();
+  return Status::OK();
+}
+
+Status Transaction::LoadObject(Oid oid, uint32_t vnum, Cached** out,
+                               const ObjectTable::Head* walked) {
   const CacheKey key{oid.Pack(), vnum};
   auto it = cache_.find(key);
   if (it != cache_.end()) {
@@ -288,11 +307,8 @@ Status Transaction::LoadObject(Oid oid, uint32_t vnum, Cached** out) {
   uint32_t type_code = 0;
   uint32_t resolved = 0;
   if (snapshot_) {
-    // Snapshot read: resolve through the version chain to the newest
-    // version with commit_seq <= snapshot_seq — no locks taken.
-    ODE_RETURN_IF_ERROR(db_->store().ReadSnapshot(
-        root, oid.local, vnum, snapshot_seq_, &bytes, &type_code, &resolved));
-    db_->core_metrics().snapshot_reads->Add();
+    ODE_RETURN_IF_ERROR(ReadAtCut(root, oid, vnum, walked, &bytes, &type_code,
+                                  &resolved));
   } else {
     // First touch of this object: shared lock before reading storage (2PL —
     // a cache hit above means the lock is already held).
@@ -458,16 +474,15 @@ Status Transaction::RejectIfClusterIndexed(ClusterId cluster,
   return Status::OK();
 }
 
-Result<Transaction::RawRecord> Transaction::ReadRaw(Oid oid, uint32_t vnum) {
+Result<Transaction::RawRecord> Transaction::ReadRaw(
+    Oid oid, uint32_t vnum, const ObjectTable::Head* walked) {
   if (!open_) return Status::TransactionAborted("transaction is closed");
   if (!oid.valid()) return Status::InvalidArgument("invalid object id");
   ODE_ASSIGN_OR_RETURN(PageId root, db_->TableRootOf(oid.cluster));
   RawRecord rec;
   if (snapshot_) {
-    ODE_RETURN_IF_ERROR(db_->store().ReadSnapshot(root, oid.local, vnum,
-                                                  snapshot_seq_, &rec.bytes,
-                                                  &rec.type_code, &rec.vnum));
-    db_->core_metrics().snapshot_reads->Add();
+    ODE_RETURN_IF_ERROR(ReadAtCut(root, oid, vnum, walked, &rec.bytes,
+                                  &rec.type_code, &rec.vnum));
   } else {
     ODE_RETURN_IF_ERROR(LockObject(oid, concur::LockMode::kShared));
     ODE_RETURN_IF_ERROR(db_->store().Read(root, oid.local, vnum, &rec.bytes,
@@ -511,7 +526,7 @@ Result<Oid> Transaction::InsertRaw(ClusterId cluster, const Slice& bytes) {
   ODE_RETURN_IF_ERROR(
       db_->store().Insert(root, type_entry->code, bytes, &local));
   const Oid oid{cluster, local};
-  created_.push_back(oid);
+  if (creation_logs_open_ > 0) created_.push_back(oid);
   ODE_RETURN_IF_ERROR(LockObject(oid, concur::LockMode::kExclusive));
   return oid;
 }

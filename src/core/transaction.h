@@ -74,9 +74,12 @@ class Transaction {
   template <typename T, typename... Args>
   Result<Ref<T>> New(Args&&... args);
 
-  /// Read-only access to the object (any version).
+  /// Read-only access to the object (any version). `walked` is for scans:
+  /// the head a walk just read for `ref` (ForAll), which lets a snapshot
+  /// read a version visible at its cut without looking the entry up again.
   template <typename T>
-  Result<const T*> Read(const Ref<T>& ref);
+  Result<const T*> Read(const Ref<T>& ref,
+                        const ObjectTable::Head* walked = nullptr);
 
   /// Mutable access; marks the object dirty. Only the current version is
   /// updatable (§4: old versions are read-only).
@@ -115,8 +118,10 @@ class Transaction {
 
   /// Reads a record (kGenericVersion = current version). S-locks the object
   /// in an ordinary transaction; resolves through the version chain without
-  /// locks in a snapshot transaction.
-  Result<RawRecord> ReadRaw(Oid oid, uint32_t vnum = kGenericVersion);
+  /// locks in a snapshot transaction. `walked` is as for Read: the head a
+  /// walk just read for `oid` (the wire Scan).
+  Result<RawRecord> ReadRaw(Oid oid, uint32_t vnum = kGenericVersion,
+                            const ObjectTable::Head* walked = nullptr);
 
   /// Replaces the current record's bytes (X-locks the object; the store
   /// retains the committed pre-image on the version chain for snapshot
@@ -240,10 +245,28 @@ class Transaction {
   Status ForEachHead(ClusterId cluster, LocalOid start,
                      const ObjectStore::HeadVisitor& visit);
 
-  /// Every object this transaction created (New, InsertRaw), in creation
-  /// order. A locked ForAll visits the ones its body creates after the
-  /// extent, in this order (§3.2).
+  /// The objects this transaction created (New, InsertRaw) while a
+  /// CreationLog was open, in creation order. A locked ForAll visits the
+  /// ones its body creates after the extent, in this order (§3.2).
   const std::vector<Oid>& created() const { return created_; }
+
+  /// RAII: while one is alive, New and InsertRaw log what they create in
+  /// created(); the log empties when the last one closes. A locked ForAll
+  /// holds one for its scan, so a transaction with no scan open logs nothing.
+  class CreationLog {
+   public:
+    explicit CreationLog(Transaction& txn) : txn_(&txn) {
+      txn_->creation_logs_open_++;
+    }
+    ~CreationLog() {
+      if (--txn_->creation_logs_open_ == 0) txn_->created_.clear();
+    }
+    CreationLog(const CreationLog&) = delete;
+    CreationLog& operator=(const CreationLog&) = delete;
+
+   private:
+    Transaction* txn_;
+  };
 
   /// Shared-locks a named index (concur::IndexResource) before an index
   /// scan (ForAll::ViaIndex*), stabilizing its key set against concurrent
@@ -320,7 +343,11 @@ class Transaction {
   };
 
   /// Loads (through the cache) the object version; rejects deleted objects.
-  Status LoadObject(Oid oid, uint32_t vnum, Cached** out);
+  /// `walked` is Read's: a snapshot reads a generic `oid` through
+  /// ObjectStore::ReadSnapshotHead with it. A locked transaction ignores
+  /// it — 2PL takes S(object) before it trusts an entry.
+  Status LoadObject(Oid oid, uint32_t vnum, Cached** out,
+                    const ObjectTable::Head* walked = nullptr);
 
   /// Write path: loads the head version, captures pre-images for index
   /// maintenance, marks dirty.
@@ -403,6 +430,11 @@ class Transaction {
   Status StartSnapshotAt(uint64_t seq);
   /// Guard for mutating entry points; InvalidArgument in snapshot mode.
   Status RejectIfSnapshot(const char* op) const;
+  /// A read at this snapshot's cut: ReadSnapshotHead when `walked` is the
+  /// head of a generic `oid`, else ReadSnapshot.
+  Status ReadAtCut(PageId root, Oid oid, uint32_t vnum,
+                   const ObjectTable::Head* walked, std::string* bytes,
+                   uint32_t* type_code, uint32_t* resolved_vnum);
 
   // --- Lock escalation (DatabaseOptions::lock_escalation_threshold) -------
   /// Object-lock acquisitions per cluster this transaction.
@@ -426,6 +458,7 @@ class Transaction {
   bool catalog_dirty_ = false;
   std::map<CacheKey, std::unique_ptr<Cached>> cache_;
   std::vector<Oid> created_;  ///< See created().
+  size_t creation_logs_open_ = 0;  ///< Live CreationLog guards.
   /// Read-cache recency order (front = coldest); maintained only when
   /// cache_limit_ > 0.
   std::list<CacheKey> lru_;
@@ -466,7 +499,7 @@ Result<Ref<T>> Transaction::New(Args&&... args) {
       db_->store().Insert(root, type_entry->code, Slice(bytes), &local));
 
   const Oid oid{cluster, local};
-  created_.push_back(oid);
+  if (creation_logs_open_ > 0) created_.push_back(oid);
   ODE_RETURN_IF_ERROR(LockObject(oid, concur::LockMode::kExclusive));
   auto cached = std::make_unique<Cached>();
   cached->obj = obj.release();
@@ -479,11 +512,12 @@ Result<Ref<T>> Transaction::New(Args&&... args) {
 }
 
 template <typename T>
-Result<const T*> Transaction::Read(const Ref<T>& ref) {
+Result<const T*> Transaction::Read(const Ref<T>& ref,
+                                   const ObjectTable::Head* walked) {
   if (!open_) return Status::TransactionAborted("transaction is closed");
   if (ref.null()) return Status::InvalidArgument("null reference");
   Cached* cached = nullptr;
-  ODE_RETURN_IF_ERROR(LoadObject(ref.oid(), ref.vnum(), &cached));
+  ODE_RETURN_IF_ERROR(LoadObject(ref.oid(), ref.vnum(), &cached, walked));
   void* as_t = TypeRegistry::Global().Upcast(cached->obj, cached->type->name,
                                              TypeNameOf<T>());
   if (as_t == nullptr) {

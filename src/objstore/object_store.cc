@@ -605,6 +605,38 @@ Status ObjectStore::ReadSnapshot(PageId table_root, LocalOid local,
   return s;
 }
 
+Status ObjectStore::ReadSnapshotHead(PageId table_root,
+                                     const ObjectTable::Head& head,
+                                     uint64_t snapshot_seq, std::string* data,
+                                     uint32_t* type_code,
+                                     uint32_t* resolved_vnum) const {
+  const ObjectTable::Entry& entry = head.entry;
+  // A head stamped at or below the cut is where ResolveSnapshotOnce stops
+  // without a hop. The cut is minted from the durable horizon, so that
+  // image is installed; and the GC watermark is at or below every active
+  // cut, so nothing frees its record while this snapshot runs — a later
+  // update or delete keeps it, at the same page and slot, as a retained
+  // image. The walked entry can thus be read even if the head has moved on.
+  if (entry.allocated() && !entry.is_version() &&
+      entry.commit_seq <= snapshot_seq) {
+    if (entry.tombstone()) {
+      return Status::NotFound("object " + std::to_string(head.local) +
+                              " (deleted before snapshot)");
+    }
+    if (!entry.overflow()) {
+      Status s = ReadRecord(entry, data);
+      if (s.ok()) {
+        if (type_code != nullptr) *type_code = entry.type_code;
+        if (resolved_vnum != nullptr) *resolved_vnum = entry.vnum;
+        return Status::OK();
+      }
+      if (!s.IsCorruption()) return s;
+    }
+  }
+  return ReadSnapshot(table_root, head.local, kGenericVersion, snapshot_seq,
+                      data, type_code, resolved_vnum);
+}
+
 Status ObjectStore::PurgeObject(ObjectTable* table, LocalOid local) {
   ObjectTable::Entry entry;
   ODE_RETURN_IF_ERROR(table->GetEntry(local, &entry));

@@ -61,6 +61,17 @@ class ObjectStore {
                       uint64_t snapshot_seq, std::string* data,
                       uint32_t* type_code, uint32_t* resolved_vnum) const;
 
+  /// ReadSnapshot of the current version for a head a walk just read
+  /// (ScanHeads, ForEachHead), in one fetch where it can: a head stamped at
+  /// or below `snapshot_seq` is the version the cut sees, so its inline
+  /// record is read straight from `head.entry`'s page and slot, and a
+  /// tombstone there is NotFound. Anything else — a head stamped after the
+  /// cut, an overflow record, a slot that fails to read — takes
+  /// ReadSnapshot's chain walk.
+  Status ReadSnapshotHead(PageId table_root, const ObjectTable::Head& head,
+                          uint64_t snapshot_seq, std::string* data,
+                          uint32_t* type_code, uint32_t* resolved_vnum) const;
+
   /// Visibility resolution only: the chain entry a snapshot at
   /// `snapshot_seq` sees for (`local`, `vnum`), without reading the record.
   Status ResolveSnapshot(PageId table_root, LocalOid local, uint32_t vnum,

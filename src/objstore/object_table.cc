@@ -101,52 +101,52 @@ Status ObjectTable::Drop() {
   return Status::OK();
 }
 
-Status ObjectTable::LocateEntryPage(LocalOid local, bool create,
-                                    PageId* page) const {
+Status ObjectTable::LocateEntryPage(LocalOid local, PageId* page) const {
   const uint32_t page_index = local / kEntriesPerPage;
   uint32_t roots_to_skip = page_index / kDirCap;
   const uint32_t dir_slot = page_index % kDirCap;
+  // The fetch that reaches the directory page owning dir_slot also reads
+  // its dir_count and the slot.
+  for (PageId root = root_;; roots_to_skip--) {
+    PageHandle handle;
+    ODE_RETURN_IF_ERROR(engine_->GetPageRead(root, &handle));
+    if (roots_to_skip == 0) {
+      if (dir_slot >= DecodeFixed32(handle.data() + kDirCountOff)) {
+        return Status::NotFound("object-table entry out of range");
+      }
+      *page = DecodeFixed32(handle.data() + kDirStartOff + 4 * dir_slot);
+      return Status::OK();
+    }
+    root = DecodeFixed32(handle.data() + kNextRootOff);
+    if (root == kInvalidPageId) {
+      return Status::NotFound("object-table page out of range");
+    }
+  }
+}
 
-  // `root` ends as the directory page that owns dir_slot; the fetch that
-  // reaches it also reads its dir_count and slot.
+Status ObjectTable::AppendEntryPage(LocalOid local) {
+  const uint32_t page_index = local / kEntriesPerPage;
+  const uint32_t dir_slot = page_index % kDirCap;
   PageId root = root_;
-  uint32_t dir_count = 0;
-  while (true) {
+  for (uint32_t roots_to_skip = page_index / kDirCap; roots_to_skip > 0;
+       roots_to_skip--) {
     PageId next;
     {
       PageHandle handle;
       ODE_RETURN_IF_ERROR(engine_->GetPageRead(root, &handle));
-      if (roots_to_skip == 0) {
-        dir_count = DecodeFixed32(handle.data() + kDirCountOff);
-        if (dir_slot < dir_count) {
-          *page = DecodeFixed32(handle.data() + kDirStartOff + 4 * dir_slot);
-          return Status::OK();
-        }
-        break;
-      }
       next = DecodeFixed32(handle.data() + kNextRootOff);
     }
     if (next == kInvalidPageId) {
-      if (!create) return Status::NotFound("object-table page out of range");
-      PageId new_root;
       PageHandle fresh;
-      ODE_RETURN_IF_ERROR(engine_->AllocPage(&new_root, &fresh));
+      ODE_RETURN_IF_ERROR(engine_->AllocPage(&next, &fresh));
       InitRootPage(fresh.mutable_data());
       fresh.Release();
       PageHandle handle;
       ODE_RETURN_IF_ERROR(engine_->GetPageWrite(root, &handle));
-      EncodeFixed32(handle.mutable_data() + kNextRootOff, new_root);
-      next = new_root;
+      EncodeFixed32(handle.mutable_data() + kNextRootOff, next);
     }
     root = next;
-    roots_to_skip--;
   }
-
-  if (!create) return Status::NotFound("object-table entry out of range");
-  if (dir_slot != dir_count) {
-    return Status::Corruption("non-contiguous object-table directory");
-  }
-  // Append a new entry page.
   PageId entry_page;
   {
     PageHandle fresh;
@@ -156,10 +156,13 @@ Status ObjectTable::LocateEntryPage(LocalOid local, bool create,
   }
   PageHandle handle;
   ODE_RETURN_IF_ERROR(engine_->GetPageWrite(root, &handle));
+  const uint32_t dir_count = DecodeFixed32(handle.data() + kDirCountOff);
+  if (dir_slot != dir_count) {
+    return Status::Corruption("non-contiguous object-table directory");
+  }
   EncodeFixed32(handle.mutable_data() + kDirStartOff + 4 * dir_slot,
                 entry_page);
   EncodeFixed32(handle.mutable_data() + kDirCountOff, dir_count + 1);
-  *page = entry_page;
   return Status::OK();
 }
 
@@ -188,9 +191,11 @@ Status ObjectTable::AllocEntry(LocalOid* local) {
     ODE_RETURN_IF_ERROR(engine_->GetPageRead(root_, &handle));
     num = DecodeFixed32(handle.data() + kNumEntriesOff);
   }
+  // The first entry of a new entry page appends that page.
   PageId entry_page;
-  ODE_RETURN_IF_ERROR(LocateEntryPage(num, /*create=*/true, &entry_page));
-  (void)entry_page;
+  Status located = LocateEntryPage(num, &entry_page);
+  if (located.IsNotFound()) located = AppendEntryPage(num);
+  ODE_RETURN_IF_ERROR(located);
   PageHandle handle;
   ODE_RETURN_IF_ERROR(engine_->GetPageWrite(root_, &handle));
   EncodeFixed32(handle.mutable_data() + kNumEntriesOff, num + 1);
@@ -220,7 +225,7 @@ Status ObjectTable::FreeEntry(LocalOid local) {
 
 Status ObjectTable::GetEntry(LocalOid local, Entry* entry) const {
   PageId page;
-  ODE_RETURN_IF_ERROR(LocateEntryPage(local, /*create=*/false, &page));
+  ODE_RETURN_IF_ERROR(LocateEntryPage(local, &page));
   PageHandle handle;
   ODE_RETURN_IF_ERROR(engine_->GetPageRead(page, &handle));
   const uint32_t offset = kEntryStart + (local % kEntriesPerPage) * kEntrySize;
@@ -230,7 +235,7 @@ Status ObjectTable::GetEntry(LocalOid local, Entry* entry) const {
 
 Status ObjectTable::SetEntry(LocalOid local, const Entry& entry) {
   PageId page;
-  ODE_RETURN_IF_ERROR(LocateEntryPage(local, /*create=*/false, &page));
+  ODE_RETURN_IF_ERROR(LocateEntryPage(local, &page));
   PageHandle handle;
   ODE_RETURN_IF_ERROR(engine_->GetPageWrite(page, &handle));
   const uint32_t offset = kEntryStart + (local % kEntriesPerPage) * kEntrySize;
@@ -250,7 +255,7 @@ Status ObjectTable::NextHead(LocalOid start, LocalOid* local, bool* found,
   for (LocalOid i = start; i < num; i++) {
     // Scan one entry page at a time to amortize the directory walk.
     PageId page;
-    ODE_RETURN_IF_ERROR(LocateEntryPage(i, /*create=*/false, &page));
+    ODE_RETURN_IF_ERROR(LocateEntryPage(i, &page));
     PageHandle handle;
     ODE_RETURN_IF_ERROR(engine_->GetPageRead(page, &handle));
     const uint32_t first_on_page = (i / kEntriesPerPage) * kEntriesPerPage;

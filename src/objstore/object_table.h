@@ -133,9 +133,15 @@ class ObjectTable {
   Status ReleaseTrailingFreePages(uint32_t* released);
 
  private:
-  /// Locates (creating on demand when `create` is set) the entry page that
-  /// holds entry index `local`.
-  Status LocateEntryPage(LocalOid local, bool create, PageId* page) const;
+  /// The entry page that holds entry index `local`; NotFound past the
+  /// directory's end. Read-only, so no snapshot read can reach a page
+  /// allocation (or the writer token it takes) through it.
+  Status LocateEntryPage(LocalOid local, PageId* page) const;
+
+  /// Adds the entry page for `local`, the first index past the last entry
+  /// page, chaining a new directory root when the last one is full
+  /// (AllocEntry).
+  Status AppendEntryPage(LocalOid local);
 
   StorageEngine* engine_;
   PageId root_;

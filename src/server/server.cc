@@ -917,8 +917,9 @@ Status Server::StreamScan(const std::shared_ptr<Conn>& conn, Transaction& txn,
   ODE_RETURN_IF_ERROR(txn.ForEachHead(
       req.cluster, req.start,
       [&](const ObjectTable::Head& head, bool* stop) -> Status {
+        // The walked head: a snapshot reads a visible one with one fetch.
         Result<Transaction::RawRecord> r =
-            txn.ReadRaw(Oid{req.cluster, head.local}, kGenericVersion);
+            txn.ReadRaw(Oid{req.cluster, head.local}, kGenericVersion, &head);
         if (!r.ok()) {
           // Invisible to this snapshot, or deleted earlier in this
           // transaction: skip, the scan stays consistent.

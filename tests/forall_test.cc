@@ -388,6 +388,32 @@ TEST_F(ForAllTest, LockedScanVisitsRecreatedEntryOnce) {
   }));
 }
 
+TEST_F(ForAllTest, CreationLogIsKeptOnlyWhileALockedScanIsOpen) {
+  // Only a locked scan's insert pass reads the creation log, so a
+  // transaction logs what it creates only while one is open: a bulk load
+  // with no scan open keeps nothing, and the log empties when the scan
+  // closes. A scan nested in the body keeps the outer scan's entries.
+  ASSERT_OK(db_->RunTransaction([&](Transaction& txn) -> Status {
+    for (int i = 0; i < 2000; i++) {
+      ODE_RETURN_IF_ERROR(txn.New<Person>("bulk", i, 0).status());
+    }
+    EXPECT_TRUE(txn.created().empty());
+    bool created = false;
+    ODE_RETURN_IF_ERROR(ForAll<Person>(txn).Do([&](Ref<Person>) -> Status {
+      if (created) return Status::OK();
+      created = true;
+      ODE_ASSIGN_OR_RETURN(Ref<Person> late, txn.New<Person>("late", 0, 0));
+      EXPECT_EQ(txn.created(), std::vector<Oid>{late.oid()});
+      ODE_RETURN_IF_ERROR(ForAll<Student>(txn).Count().status());
+      EXPECT_EQ(txn.created(), std::vector<Oid>{late.oid()});
+      return Status::OK();
+    }));
+    EXPECT_TRUE(created);
+    EXPECT_TRUE(txn.created().empty());
+    return Status::OK();
+  }));
+}
+
 TEST_F(ForAllTest, DescribeReportsAccessPath) {
   ASSERT_OK(db_->CreateIndex<Person>("didx", [](const Person& p) {
     return index_key::FromInt64(p.age());

@@ -325,21 +325,22 @@ TEST_F(ExecStatsTest, ScansReportExactPoolFetchesPerRow) {
   // Inline snapshot scan (no Parallel()): the caller fetches the root to
   // list the entry pages and again for the high-water mark (2), walks the
   // morsel with one root and one entry-page fetch (2), then reads the ten
-  // objects, each read fetching the root, the entry page and the data
-  // page (10 * 3). 2 + 2 + 30 = 34.
+  // objects. Each walked head committed before the cut, so each read takes
+  // the record straight from the data page the head names: one fetch, no
+  // second root or entry-page lookup (10 * 1). 2 + 2 + 10 = 14.
   ASSERT_OK(m_->RunReadTransaction([&](Transaction& txn) -> Status {
     ForAll<Person> loop(txn);
     ODE_ASSIGN_OR_RETURN(size_t n, loop.Count());
     EXPECT_EQ(n, 10u);
     EXPECT_EQ(loop.exec_stats().workers, 0u);
-    EXPECT_EQ(loop.exec_stats().pool_fetches, 34u);
-    EXPECT_NE(loop.Explain().find("pool_fetches=34"), std::string::npos)
+    EXPECT_EQ(loop.exec_stats().pool_fetches, 14u);
+    EXPECT_NE(loop.Explain().find("pool_fetches=14"), std::string::npos)
         << loop.Explain();
     return Status::OK();
   }));
-  // Parallel snapshot scan, one morsel: the same 34 fetches, split between
+  // Parallel snapshot scan, one morsel: the same 14 fetches, split between
   // the coordinator (root listing and high-water root, 2) and the one
-  // worker (morsel walk 2, reads 30).
+  // worker (morsel walk 2, reads 10).
   ASSERT_OK(m_->RunReadTransaction([&](Transaction& txn) -> Status {
     ForAll<Person> loop(txn);
     loop.Parallel(2);
@@ -347,7 +348,7 @@ TEST_F(ExecStatsTest, ScansReportExactPoolFetchesPerRow) {
     ODE_ASSIGN_OR_RETURN(size_t n, loop.Count());
     EXPECT_EQ(n, 10u);
     EXPECT_EQ(loop.exec_stats().workers, 1u);
-    EXPECT_EQ(loop.exec_stats().pool_fetches, 34u);
+    EXPECT_EQ(loop.exec_stats().pool_fetches, 14u);
     return Status::OK();
   }));
   auto snap = m_.Snap();
@@ -356,8 +357,8 @@ TEST_F(ExecStatsTest, ScansReportExactPoolFetchesPerRow) {
     if (row.name != "query.pool_fetches_per_row") continue;
     found = true;
     EXPECT_EQ(row.count, 2u);
-    EXPECT_DOUBLE_EQ(row.min, 3.4);
-    EXPECT_DOUBLE_EQ(row.max, 3.4);
+    EXPECT_DOUBLE_EQ(row.min, 1.4);
+    EXPECT_DOUBLE_EQ(row.max, 1.4);
   }
   EXPECT_TRUE(found);
 }
@@ -367,7 +368,8 @@ TEST_F(ExecStatsTest, LockedScanReportsExactPoolFetches) {
   // (ScansReportExactPoolFetchesPerRow), inline in its own transaction: the
   // root for the extent's end under S(cluster) and again to list the entry
   // pages (2), the morsel walk (2), then ten reads of root, entry page and
-  // data page (10 * 3). 2 + 2 + 30 = 34.
+  // data page (10 * 3): 2PL takes S(object) before it trusts an entry, so
+  // the walked one is not reused. 2 + 2 + 30 = 34.
   ASSERT_OK(m_->RunTransaction([&](Transaction& txn) -> Status {
     ForAll<Person> loop(txn);
     ODE_ASSIGN_OR_RETURN(size_t n, loop.Count());

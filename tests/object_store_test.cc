@@ -155,6 +155,32 @@ TEST_F(ObjectStoreTest, ManyObjectsAcrossTablePages) {
   EXPECT_EQ(num.value(), static_cast<uint32_t>(kCount));
 }
 
+TEST_F(ObjectStoreTest, EntriesPastTheFirstDirectoryRoot) {
+  // A directory root lists 1018 entry pages of 127 entries; the next entry
+  // page chains a second root. Entries on both sides of that boundary
+  // read back, and one ScanHeads walk crosses it.
+  const uint32_t kFirstRootEntries = 1018 * ObjectTable::kEntriesPerPage;
+  const uint32_t kCount = kFirstRootEntries + 200;
+  for (uint32_t i = 0; i < kCount; i++) {
+    LocalOid oid;
+    ASSERT_OK(store_->Insert(root_, 1, Slice(std::to_string(i)), &oid));
+    ASSERT_EQ(oid, i);
+  }
+  for (LocalOid oid : {0u, kFirstRootEntries - 1, kFirstRootEntries,
+                       kCount - 1}) {
+    EXPECT_EQ(ReadData(oid), std::to_string(oid));
+  }
+  std::vector<ObjectTable::Head> heads;
+  auto end = store_->ScanHeads(root_, kFirstRootEntries - 100,
+                               kFirstRootEntries + 100,
+                               /*include_tombstones=*/false, &heads);
+  ASSERT_TRUE(end.ok()) << end.status().ToString();
+  EXPECT_EQ(end.value(), kCount);
+  ASSERT_EQ(heads.size(), 200u);
+  EXPECT_EQ(heads.front().local, kFirstRootEntries - 100);
+  EXPECT_EQ(heads.back().local, kFirstRootEntries + 99);
+}
+
 TEST_F(ObjectStoreTest, ScanHeadsMatchesNextHeadAndGetEntry) {
   // Five entry pages (127 entries each) holding every kind of entry: live
   // heads, tombstones, retained pre-update images and explicit versions.

@@ -11,7 +11,9 @@
 //     inline and Parallel() snapshot scans, and a locked scan, agree with
 //     it and with each other;
 //   * the scan is snapshot-consistent while writers commit concurrently,
-//     inline with no pool as well as on pool workers;
+//     inline with no pool as well as on pool workers, and reads a head
+//     visible at its cut with one pool fetch, straight from the walked
+//     entry;
 //   * admission is all-or-nothing: a pool with fewer idle threads than the
 //     job asks for fails with Busy instead of degrading silently;
 //   * ineligible loops (locked transactions, explicit oid lists, no pool)
@@ -23,7 +25,9 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "query/aggregate.h"
@@ -481,6 +485,116 @@ TEST_F(ParallelQueryTest, InlineScanWithoutPoolMatchesModelAtCut) {
   EXPECT_EQ(late->name(), "late");
   size_t after_count = ASSERT_OK_AND_UNWRAP(everyone(*after).Count());
   EXPECT_EQ(after_count, want_count);  // one deleted, one inserted
+  ASSERT_OK(after->Commit());
+}
+
+// A snapshot scan reads a head visible at its cut straight from the data
+// page the walked entry names, and walks the version chain only otherwise
+// (ObjectStore::ReadSnapshotHead). The expected rows come from a locked
+// scan taken just before the cut; the inline and Parallel() snapshot scans
+// must return exactly those rows, values included, across every case that
+// rule tells apart: heads stamped before the cut (most rows, and a Student
+// under WithDerived()), an overflow record, pre-cut deletes (tombstones at
+// or below the cut: skipped), and post-cut updates, deletes and an insert
+// (heads above the cut: the chain decides). The fetch count pins the one
+// fetch per visible inline row.
+TEST_F(ParallelQueryTest, WalkedHeadReadsMatchLockedScanAtCut) {
+  Open(/*query_threads=*/4);
+  ASSERT_OK((*db_)->CreateCluster<Person>());
+  ASSERT_OK((*db_)->CreateCluster<Student>());
+  // 600 Persons (two morsels) and 100 Students; Person 5's name makes its
+  // record spill into an overflow chain. Incomes are whole and distinct.
+  std::vector<Ref<Person>> people;
+  std::vector<Ref<Student>> students;
+  Locked([&](Transaction& txn) -> Status {
+    for (int i = 0; i < 600; i++) {
+      const std::string name = i == 5 ? std::string(3000, 'o') : "p";
+      ODE_ASSIGN_OR_RETURN(Ref<Person> p, txn.New<Person>(name, 20, i));
+      people.push_back(p);
+    }
+    for (int i = 0; i < 100; i++) {
+      ODE_ASSIGN_OR_RETURN(Ref<Student> s,
+                           txn.New<Student>("s", 20, 1000 + i, 3.0));
+      students.push_back(s);
+    }
+    return Status::OK();
+  });
+  // Deleted before the cut: their heads are tombstones at or below it.
+  Locked([&](Transaction& txn) -> Status {
+    for (int i = 10; i < 20; i++) ODE_RETURN_IF_ERROR(txn.Delete(people[i]));
+    return txn.Delete(students[3]);
+  });
+
+  using Row = std::tuple<uint64_t, std::string, double>;
+  using Rows = std::vector<Row>;
+  auto rows_of = [](ForAll<Person>& loop) -> Result<Rows> {
+    loop.WithDerived();
+    ODE_ASSIGN_OR_RETURN(
+        std::vector<Rows> slots,
+        loop.template Fold<Rows>(
+            [](Rows& acc, Ref<Person> ref, const Person& p) -> Status {
+              acc.emplace_back(ref.oid().Pack(), p.name(), p.income());
+              return Status::OK();
+            }));
+    Rows rows;
+    for (const Rows& slot : slots) {
+      rows.insert(rows.end(), slot.begin(), slot.end());
+    }
+    return rows;
+  };
+  Rows want;
+  Locked([&](Transaction& txn) -> Status {
+    ForAll<Person> locked(txn);
+    ODE_ASSIGN_OR_RETURN(want, rows_of(locked));
+    return Status::OK();
+  });
+  ASSERT_EQ(want.size(), 600u - 10 + 100 - 1);
+
+  auto snap = ASSERT_OK_AND_UNWRAP((*db_)->BeginSnapshot());
+  // After the cut: two updates (one of them a Student), two deletes (one in
+  // each Person morsel) and an insert.
+  std::thread writer([&] {
+    Locked([&](Transaction& txn) -> Status {
+      ODE_ASSIGN_OR_RETURN(Person * p, txn.Write(people[100]));
+      p->set_income(1e6);
+      ODE_ASSIGN_OR_RETURN(Student * s, txn.Write(students[50]));
+      s->set_income(1e6);
+      ODE_RETURN_IF_ERROR(txn.Delete(people[200]));
+      ODE_RETURN_IF_ERROR(txn.Delete(people[550]));
+      return txn.New<Person>("late", 20, 1e6).status();
+    });
+  });
+  writer.join();
+
+  ForAll<Person> inline_loop(*snap);
+  EXPECT_EQ(ASSERT_OK_AND_UNWRAP(rows_of(inline_loop)), want);
+  ForAll<Person> parallel(*snap);
+  parallel.Parallel();
+  EXPECT_EQ(ASSERT_OK_AND_UNWRAP(rows_of(parallel)), want);
+  EXPECT_GT(parallel.exec_stats().workers, 1u);
+  EXPECT_EQ(parallel.exec_stats().rows_scanned, want.size());
+  // Inline fetches: the Person cluster's plan (high-water root and entry
+  // listing 2; its 614 entries — 600 heads, 13 retained images and the
+  // insert — span five entry pages, so root + 4 entry pages and root + 1
+  // for its two morsels 7) and the Student cluster's (2 + root + 1 entry page) = 13;
+  // one data page per head visible at the cut (586 Persons, 98 Students);
+  // none for the 11 pre-cut tombstones; the overflow record through
+  // ReadSnapshot (root, entry page, one chain page) 3; the four updated or
+  // deleted heads each walk one hop (root and entry page twice, then the
+  // data page) 4 * 5; and the post-cut insert finds nothing at the cut
+  // (root and entry page) 2. 13 + 684 + 3 + 20 + 2 = 722.
+  EXPECT_EQ(inline_loop.exec_stats().pool_fetches, 722u);
+  EXPECT_EQ(parallel.exec_stats().pool_fetches, 722u);
+  ASSERT_OK(snap->Commit());
+
+  // The writes did land: a cut taken after them sees them.
+  auto after = ASSERT_OK_AND_UNWRAP((*db_)->BeginSnapshot());
+  ForAll<Person> later(*after);
+  Rows now = ASSERT_OK_AND_UNWRAP(rows_of(later));
+  EXPECT_EQ(now.size(), want.size() - 2 + 1);
+  EXPECT_NE(now, want);
+  const Person* updated = ASSERT_OK_AND_UNWRAP(after->Read(people[100]));
+  EXPECT_EQ(updated->income(), 1e6);
   ASSERT_OK(after->Commit());
 }
 

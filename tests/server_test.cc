@@ -10,9 +10,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "server/client.h"
@@ -76,6 +78,7 @@ uint64_t CounterNow(Database& db, const std::string& name) {
 /// send malformed bytes).
 struct RawConn {
   int fd = -1;
+  std::string in;  ///< Received bytes not yet parsed into a frame.
 
   ~RawConn() { Close(); }
   void Close() {
@@ -85,12 +88,18 @@ struct RawConn {
     }
   }
 
-  bool Connect(int port) {
+  /// `rcvbuf` > 0 pins the socket's receive buffer to about that many
+  /// bytes (no autotuning), so a reader that stops reading stalls the
+  /// server's writes soon.
+  bool Connect(int port, int rcvbuf = 0) {
     fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) return false;
     timeval tv{};
     tv.tv_sec = 10;
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    if (rcvbuf > 0) {
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(static_cast<uint16_t>(port));
@@ -122,13 +131,14 @@ struct RawConn {
     return out;
   }
 
+  /// The next frame; bytes read past it stay in `in` for the next call.
   bool RecvFrame(Frame* frame) {
-    std::string in;
     char buf[4096];
     for (;;) {
       size_t consumed = 0;
       if (server::TryParseFrame(in, 64u << 20, frame, &consumed) ==
           server::ParseResult::kFrame) {
+        in.erase(0, consumed);
         return true;
       }
       const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
@@ -269,6 +279,90 @@ TEST(ServerTest, ScanPagesByStartAndLimit) {
   ASSERT_OK(client.BeginSnapshot());
   check_pages("snapshot transaction");
   ASSERT_OK(client.Commit());
+  ASSERT_OK(server->Shutdown());
+}
+
+// A one-shot Scan reads at the cut it mints when the request starts, and
+// resolves every walked head against it (ObjectStore::ReadSnapshotHead). A
+// reader that stops draining the stream stalls the server's walk: 16 MB of
+// records cannot fit in the socket buffers, so the walk is still in the
+// first part of the cluster when an update and a delete of its last two
+// records commit. The scan must return exactly the rows of its cut — the
+// updated record's old bytes, the deleted record — and a later scan sees
+// both changes.
+TEST(ServerTest, OneShotScanReturnsTheRowsOfItsCut) {
+  TestDb tdb(ServedDbOptions());
+  auto server = MustStart(tdb.db.get(), FastServerOptions());
+  Client writer;
+  ASSERT_OK(writer.Connect("127.0.0.1", server->port()));
+  const uint32_t cluster =
+      ASSERT_OK_AND_UNWRAP(writer.EnsureCluster("wire.Bulk"));
+  constexpr int kRecords = 8000;
+  std::map<uint32_t, std::string> model;  // local oid -> bytes at the cut
+  ASSERT_OK(tdb->RunTransaction([&](Transaction& txn) -> Status {
+    for (int i = 0; i < kRecords; i++) {
+      std::string bytes = std::to_string(i);
+      bytes.resize(2000, '.');
+      ODE_ASSIGN_OR_RETURN(Oid oid, txn.InsertRaw(cluster, Slice(bytes)));
+      model[oid.local] = std::move(bytes);
+    }
+    return Status::OK();
+  }));
+  const uint32_t updated = std::prev(model.end(), 2)->first;
+  const uint32_t deleted = model.rbegin()->first;
+
+  RawConn reader;
+  ASSERT_TRUE(reader.Connect(server->port(), /*rcvbuf=*/16 << 10));
+  ASSERT_TRUE(reader.SendHello());
+  ScanReq req;
+  req.cluster = cluster;
+  std::string wire;
+  server::AppendFrame(&wire, MsgType::kScan, server::EncodeBody(req));
+  ASSERT_TRUE(reader.SendAll(wire));
+  std::map<uint32_t, std::string> got;
+  auto take_chunk = [&](const Frame& frame) {
+    server::ScanChunk chunk;
+    ASSERT_TRUE(server::DecodeBody(Slice(frame.body), &chunk));
+    for (ScanRecord& rec : chunk.records) {
+      got[rec.local] = std::move(rec.bytes);
+    }
+  };
+  Frame frame;
+  ASSERT_TRUE(reader.RecvFrame(&frame));
+  ASSERT_EQ(frame.type, MsgType::kScanChunk);
+  take_chunk(frame);
+
+  // The scan's cut is taken; these commit after it.
+  ASSERT_OK(writer.Write(cluster, updated, "after the cut"));
+  ASSERT_OK(writer.Delete(cluster, deleted));
+
+  for (;;) {
+    ASSERT_TRUE(reader.RecvFrame(&frame));
+    if (frame.type != MsgType::kScanChunk) break;
+    take_chunk(frame);
+  }
+  ASSERT_EQ(frame.type, MsgType::kReply);
+  EXPECT_EQ(got.size(), model.size());
+  std::vector<uint32_t> wrong;  // rows missing or not as at the cut
+  for (const auto& [local, bytes] : model) {
+    auto it = got.find(local);
+    if (it == got.end() || it->second != bytes) wrong.push_back(local);
+  }
+  EXPECT_TRUE(wrong.empty()) << wrong.size() << " rows differ, first local "
+                             << wrong.front();
+
+  ScanReq later;
+  later.cluster = cluster;
+  later.start = updated;
+  std::vector<std::pair<uint32_t, std::string>> now;
+  ASSERT_OK(writer
+                .Scan(later,
+                      [&](const ScanRecord& r) {
+                        now.emplace_back(r.local, r.bytes);
+                      })
+                .status());
+  EXPECT_EQ(now, (std::vector<std::pair<uint32_t, std::string>>{
+                     {updated, "after the cut"}}));
   ASSERT_OK(server->Shutdown());
 }
 
